@@ -26,7 +26,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
-from tracer import Tracer, TimedIterator, write_chrome_trace  # noqa: E402
+from tracer import Tracer, TimedIterator  # noqa: E402
 
 
 def _replace_everywhere(original: Callable, replacement: Callable) -> None:
@@ -227,7 +227,8 @@ def main(argv: List[str]) -> int:
         payload = {"pid": os.getpid(), **tracer.aggregates(), **captured}
         with open(args.trace_out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
-        write_chrome_trace(args.chrome_out, tracer.chrome_events(os.getpid()))
+        with open(args.chrome_out, "w", encoding="utf-8") as handle:
+            json.dump({"traceEvents": tracer.chrome_events(os.getpid())}, handle)
     return code
 
 

@@ -13,7 +13,6 @@ program's public functions by ``launch.py``.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional
@@ -215,13 +214,3 @@ class TimedIterator:
             return next(self._iterator)
         finally:
             tracer.end(self._name)
-
-    def close(self) -> None:
-        close = getattr(self._iterator, "close", None)
-        if close is not None:
-            close()
-
-
-def write_chrome_trace(path: str, events: List[Dict[str, Any]]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, handle)
