@@ -273,74 +273,38 @@ def _bench_local_read_paths(records, store_dir, miss_probes=400):
     return rows
 
 
-def _bench_wire_protocols(records, store_dir, batch=64, repeats=30):
-    """Point/batch latency and throughput, binary vs JSON, one live server."""
+def _bench_batching(records, store_dir, batch=64, repeats=30):
+    """Point vs batched round trips over one live socket server."""
     expected = dict(records)
     rng = random.Random(71)
     batch_keys = [rng.choice(records)[0] for _ in range(batch)]
     reference = [expected[key] for key in batch_keys]
     prefix_batch = [(term,) for term in sorted({key[0] for key in expected})[:8]]
 
-    rows = {}
     with NGramStoreServer(
         store_dir, config=ServerConfig(port=0, cache_blocks=512)
-    ) as server:
-        clients = {
-            "binary": StoreClient(server.host, server.port, protocol="binary"),
-            "json": StoreClient(server.host, server.port, protocol="json"),
-        }
-        try:
-            # Identity first: the two protocols must answer byte-identically.
-            answers = {
-                name: (
-                    client.multi_get(batch_keys),
-                    client.multi_prefix(prefix_batch),
-                    client.top_k(20),
-                    client.stats(),
-                )
-                for name, client in clients.items()
-            }
-            assert answers["binary"] == answers["json"]
-            assert answers["binary"][0] == reference
-
-            for name, client in clients.items():
-                point_us = _time_us(
-                    lambda client=client: [client.get(key) for key in batch_keys],
-                    repeats,
-                ) / len(batch_keys)
-                batch_us = _time_us(
-                    lambda client=client: client.multi_get(batch_keys), repeats
-                )
-                multi_prefix_us = _time_us(
-                    lambda client=client: client.multi_prefix(prefix_batch), repeats
-                )
-                sequential_prefix_us = _time_us(
-                    lambda client=client: [
-                        client.prefix(prefix) for prefix in prefix_batch
-                    ],
-                    repeats,
-                )
-                rows[name] = {
-                    "point_us": round(point_us, 2),
-                    "point_requests_per_s": round(1e6 / point_us),
-                    "multi_get_batch_us": batch_us,
-                    "multi_get_us_per_key": round(batch_us / len(batch_keys), 2),
-                    "multi_prefix_batch_us": multi_prefix_us,
-                    "sequential_prefix_us": sequential_prefix_us,
-                }
-        finally:
-            for client in clients.values():
-                client.close()
-    rows["batch_size"] = batch
-    # The headline number: one batched binary round-trip for N keys versus
-    # N single-key JSON round-trips.
-    rows["speedup_binary_batch_vs_json_points"] = round(
-        rows["json"]["point_us"] * batch / rows["binary"]["multi_get_batch_us"], 2
-    )
-    rows["speedup_binary_batch_vs_binary_points"] = round(
-        rows["binary"]["point_us"] * batch / rows["binary"]["multi_get_batch_us"], 2
-    )
-    return rows
+    ) as server, StoreClient(server.host, server.port) as client:
+        assert client.multi_get(batch_keys) == reference
+        point_us = _time_us(
+            lambda: [client.get(key) for key in batch_keys], repeats
+        ) / len(batch_keys)
+        batch_us = _time_us(lambda: client.multi_get(batch_keys), repeats)
+        multi_prefix_us = _time_us(lambda: client.multi_prefix(prefix_batch), repeats)
+        sequential_prefix_us = _time_us(
+            lambda: [client.prefix(prefix) for prefix in prefix_batch], repeats
+        )
+    return {
+        "point_us": round(point_us, 2),
+        "point_requests_per_s": round(1e6 / point_us),
+        "multi_get_batch_us": batch_us,
+        "multi_get_us_per_key": round(batch_us / len(batch_keys), 2),
+        "multi_prefix_batch_us": multi_prefix_us,
+        "sequential_prefix_us": sequential_prefix_us,
+        "batch_size": batch,
+        # The headline number: one batched round trip for N keys versus N
+        # single-key round trips.
+        "speedup_batch_vs_points": round(point_us * batch / batch_us, 2),
+    }
 
 
 def _bench_serving_fast_path():
@@ -365,7 +329,7 @@ def _bench_serving_fast_path():
         assert legacy.io_stats()["bloom_rejections"] == 0
 
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "store": {
             "num_records": len(records),
             "num_partitions": config.num_partitions,
@@ -373,10 +337,9 @@ def _bench_serving_fast_path():
             "bloom_bits_per_key": config.bloom_bits_per_key,
         },
         "local": _bench_local_read_paths(records, store_dir),
-        "protocol": _bench_wire_protocols(records, store_dir),
+        "batching": _bench_batching(records, store_dir),
         "identity": {
             "legacy_store_identical": True,  # asserted above
-            "protocols_identical": True,  # asserted in _bench_wire_protocols
         },
     }
 
@@ -386,14 +349,14 @@ def test_ngramstore_serving_fast_path(benchmark):
 
     print("\n=== NGramStore serving fast path (local read paths) ===")
     print(format_table([{"path": name, **row} for name, row in report["local"].items() if name != "bloom"]))
-    print("\n=== Wire protocols (binary vs JSON, live server) ===")
-    print(format_table([{"protocol": name, **report["protocol"][name]} for name in ("binary", "json")]))
+    print("\n=== Batched vs point round trips (live socket server) ===")
+    print(format_table([report["batching"]]))
     bloom = report["local"]["bloom"]
-    speedup = report["protocol"]["speedup_binary_batch_vs_json_points"]
+    speedup = report["batching"]["speedup_batch_vs_points"]
     print(
         f"\nbloom: {bloom['misses_filtered']}/{bloom['misses_probed']} misses filtered, "
         f"{bloom['blocks_decoded_on_filtered_misses']} blocks decoded for them; "
-        f"batched binary vs per-key JSON speedup: {speedup}x"
+        f"batched vs per-key round-trip speedup: {speedup}x"
     )
 
     report_path = os.environ.get("NGRAMSTORE_BENCH_REPORT", "BENCH_ngramstore.json")
@@ -405,17 +368,17 @@ def test_ngramstore_serving_fast_path(benchmark):
     print(f"wrote serving fast-path baseline to {report_path}")
 
     # Acceptance bars for the raw-speed serving path:
-    # 1. One batched binary multi_get of N keys beats N single-key JSON
-    #    round-trips by >= 3x.
-    assert report["protocol"]["batch_size"] == 64
-    assert speedup >= 3.0, f"batched binary speedup {speedup}x < 3x"
+    # 1. One batched multi_get of N keys beats N single-key round-trips
+    #    by >= 3x.
+    assert report["batching"]["batch_size"] == 64
+    assert speedup >= 3.0, f"batched speedup {speedup}x < 3x"
     # 2. Bloom-filtered point misses decode zero data blocks, by counter.
     assert bloom["misses_filtered"] > 0
     assert bloom["blocks_decoded_on_filtered_misses"] == 0
     # 3. The zero-copy path was actually active (and its twin was not).
     assert report["local"]["mmap"]["mmap_partitions"] == 3
     assert report["local"]["file_io"]["mmap_partitions"] == 0
-    # 4. Cross-protocol and old/new-format identity held.
+    # 4. Old/new-format identity held.
     assert all(report["identity"].values())
 
 

@@ -163,14 +163,12 @@ def build_topology(args):
     running servers: a plain StoreClient, a ReplicaPool of StoreClients,
     or a ShardRouter of per-shard StoreClients.
     """
-    protocol = args.protocol
-
     if args.topology == "single":
         process, host, port = start_server(args.store, args.cache_blocks, args.max_clients)
         return (
             [process],
             [(host, port)],
-            lambda: StoreClient(host, port, protocol=protocol),
+            lambda: StoreClient(host, port),
         )
 
     if args.topology == "replicas":
@@ -183,7 +181,7 @@ def build_topology(args):
             [process for process, _, _ in servers],
             endpoints,
             lambda: ReplicaPool(
-                [StoreClient(host, port, protocol=protocol) for host, port in endpoints]
+                [StoreClient(host, port) for host, port in endpoints]
             ),
         )
 
@@ -201,42 +199,8 @@ def build_topology(args):
         [process for process, _, _ in servers],
         endpoints,
         lambda: ShardRouter(
-            [StoreClient(host, port, protocol=protocol) for host, port in endpoints]
+            [StoreClient(host, port) for host, port in endpoints]
         ),
-    )
-
-
-def cross_protocol_identity_check(endpoint, keys, expected, reference_top, complete):
-    """Binary and JSON clients of one server answer byte-identically.
-
-    ``complete`` says the endpoint serves the whole store (not one shard),
-    so answers are additionally checked against the direct reads.
-    """
-    host, port = endpoint
-    sample = keys[:: max(1, len(keys) // 40)]
-    prefixes = sorted({key[:1] for key in sample})[:5]
-    answers = {}
-    for protocol in ("binary", "json"):
-        with StoreClient(host, port, protocol=protocol) as client:
-            assert client.negotiated_protocol == protocol
-            answers[protocol] = (
-                [client.get(key) for key in sample],
-                client.multi_get(sample + [(10**9,)]),
-                client.multi_prefix(prefixes),
-                client.top_k(10),
-                client.stats(),
-            )
-    assert answers["binary"] == answers["json"], (
-        "binary and JSON protocol answers diverged"
-    )
-    if complete:
-        gets, multi, _, top, _ = answers["binary"]
-        assert gets == [expected[key] for key in sample]
-        assert multi == [expected[key] for key in sample] + [None]
-        assert top == reference_top
-    print(
-        f"cross-protocol identity OK: {len(sample)} gets + batched ops "
-        "byte-identical over binary and JSON"
     )
 
 
@@ -269,12 +233,6 @@ def main(argv=None):
         choices=("single", "replicas", "sharded"),
         default="single",
         help="deployment shape to smoke (default: one server)",
-    )
-    parser.add_argument(
-        "--protocol",
-        choices=("auto", "binary", "json"),
-        default="auto",
-        help="wire protocol the workload clients use (default: negotiate)",
     )
     parser.add_argument("--replicas", type=int, default=2, help="servers for --topology replicas")
     parser.add_argument("--shards", type=int, default=3, help="servers for --topology sharded")
@@ -344,16 +302,6 @@ def main(argv=None):
         )
         print("served responses byte-identical to offline query output")
 
-        # Every deployment shape is fronted by socket servers, so the
-        # binary/JSON identity check runs against the first endpoint.
-        cross_protocol_identity_check(
-            endpoints[0],
-            keys,
-            expected,
-            reference_top,
-            complete=args.topology != "sharded",
-        )
-
         # Per-server metrics, probed while every server is still up (the
         # replica failover check below deliberately kills one).
         server_reports = []
@@ -384,7 +332,6 @@ def main(argv=None):
     report = {
         "store": args.store,
         "topology": args.topology,
-        "protocol": args.protocol,
         "clients": args.clients,
         "requests_per_client": args.requests,
         "operations": {},

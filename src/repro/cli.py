@@ -347,13 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="query a running 'repro serve' socket server instead of a local store",
     )
     query.add_argument(
-        "--protocol",
-        choices=("auto", "binary", "json"),
-        default="auto",
-        help="wire protocol for --server: negotiate binary with JSON "
-        "fallback (auto, default), require binary, or force newline-JSON",
-    )
-    query.add_argument(
         "--url",
         metavar="URL",
         default=None,
@@ -878,41 +871,33 @@ def _cmd_query(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        if args.server is not None:
-            from repro.ngramstore.server import StoreClient
+    if args.server is not None:
+        from repro.ngramstore.server import StoreClient
 
-            host, _, port = args.server.rpartition(":")
-            if not host or not port.isdigit():
-                print(
-                    f"error: --server expects HOST:PORT, got {args.server!r}",
-                    file=sys.stderr,
-                )
-                return 2
-            api = StoreClient(host, int(port), protocol=args.protocol)
-        elif args.url is not None:
-            from repro.ngramstore.http import HttpStoreClient
-
-            api = HttpStoreClient(args.url)
-        else:
-            cache_blocks = (
-                args.cache_blocks if args.cache_blocks is not None else DEFAULT_CACHE_BLOCKS
+        host, _, port = args.server.rpartition(":")
+        if not host or not port.isdigit():
+            print(
+                f"error: --server expects HOST:PORT, got {args.server!r}",
+                file=sys.stderr,
             )
-            api = open_store_auto(args.store, cache_blocks=cache_blocks)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+            return 2
+        api = StoreClient(host, int(port))
+    elif args.url is not None:
+        from repro.ngramstore.http import HttpStoreClient
+
+        api = HttpStoreClient(args.url)
+    else:
+        cache_blocks = (
+            args.cache_blocks if args.cache_blocks is not None else DEFAULT_CACHE_BLOCKS
+        )
+        api = open_store_auto(args.store, cache_blocks=cache_blocks)
     # One code path for local stores and both remote transports: everything
     # below speaks StoreAPI.  With a persisted vocabulary the term-keyed
     # operations run wherever the dictionary lives (server-side for
     # remotes — clients never download it); --ids (or a vocabulary-less
     # store) falls back to raw keys.
     with api:
-        try:
-            stats = api.stats()
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        stats = api.stats()
         use_terms = (not args.ids) and bool(stats.get("has_vocabulary"))
 
         def encode(tokens: List[str]) -> tuple:
@@ -942,41 +927,37 @@ def _cmd_query(args: argparse.Namespace) -> int:
             for key, value in sorted(stats.get("metadata", {}).items()):
                 print(f"{key:14s} {value}")
             return 0
-        try:
-            if args.get is not None:
-                tokens = args.get.split()
-                if use_terms:
-                    frequency = api.get_terms(tokens)
-                    rendered = " ".join(tokens)
-                else:
-                    ngram = encode(tokens)
-                    frequency = api.get(ngram)
-                    rendered = render(ngram)
-                if frequency is None:
-                    print(f"not found: {args.get}")
-                    return 1
-                print(f"{render_value(frequency)}  {rendered}")
-            elif args.prefix is not None:
-                tokens = args.prefix.split()
-                if use_terms:
-                    records = api.prefix_terms(tokens, limit=args.limit)
-                else:
-                    records = api.prefix(encode(tokens), limit=args.limit)
-                matches = 0
-                for ngram, frequency in records:
-                    print(f"{render_value(frequency)}  {render(ngram)}")
-                    matches += 1
-                print(f"{matches} n-grams with prefix {args.prefix!r}")
+        if args.get is not None:
+            tokens = args.get.split()
+            if use_terms:
+                frequency = api.get_terms(tokens)
+                rendered = " ".join(tokens)
             else:
-                if use_terms:
-                    records = api.top_k_terms(args.top_k, order=args.order)
-                else:
-                    records = api.top_k(args.top_k, order=args.order)
-                for ngram, frequency in records:
-                    print(f"{render_value(frequency)}  {render(ngram)}")
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+                ngram = encode(tokens)
+                frequency = api.get(ngram)
+                rendered = render(ngram)
+            if frequency is None:
+                print(f"not found: {args.get}")
+                return 1
+            print(f"{render_value(frequency)}  {rendered}")
+        elif args.prefix is not None:
+            tokens = args.prefix.split()
+            if use_terms:
+                records = api.prefix_terms(tokens, limit=args.limit)
+            else:
+                records = api.prefix(encode(tokens), limit=args.limit)
+            matches = 0
+            for ngram, frequency in records:
+                print(f"{render_value(frequency)}  {render(ngram)}")
+                matches += 1
+            print(f"{matches} n-grams with prefix {args.prefix!r}")
+        else:
+            if use_terms:
+                records = api.top_k_terms(args.top_k, order=args.order)
+            else:
+                records = api.top_k(args.top_k, order=args.order)
+            for ngram, frequency in records:
+                print(f"{render_value(frequency)}  {render(ngram)}")
     return 0
 
 
@@ -991,53 +972,48 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.ngramstore.server import NGramStoreServer
     from repro.ngramstore.table import BlockCache
 
-    try:
-        config = ServerConfig(
-            host=args.host,
-            port=args.port,
-            cache_blocks=args.cache_blocks,
-            max_clients=args.max_clients,
-            protocol="http" if args.http else "socket",
-            num_shards=args.num_shards,
-            shard_index=args.shard_index,
-            slow_query_ms=args.slow_query_ms,
-            slow_query_log=args.slow_query_log,
-            extra_store=args.extra_store,
-        )
-        if args.metrics_interval is not None:
-            if args.metrics_interval <= 0:
-                raise ReproError(
-                    f"--metrics-interval must be positive, got {args.metrics_interval}"
-                )
-            if not args.metrics_file:
-                raise ReproError("--metrics-interval requires --metrics-file")
-        if config.num_shards > 1:
-            from repro.ngramstore.lsm import is_lsm_dir
-
-            if is_lsm_dir(args.store):
-                # Range sharding slices one store's partition list; an LSM
-                # directory has one list per generation, so there is no
-                # single slice to own.  Compact --all first, then shard.
-                raise ReproError(
-                    f"{args.store!r} is an LSM store directory; range-sharded "
-                    "serving needs a single-generation store — run "
-                    "`repro compact --all` first"
-                )
-            # Sharded: open the store behind a shared cache and serve only
-            # the owned slice of its partitions.
-            cache = BlockCache(config.cache_blocks)
-            target: object = ShardView(
-                NGramStore.open(args.store, cache=cache),
-                config.shard_index,
-                config.num_shards,
+    config = ServerConfig(
+        host=args.host,
+        port=args.port,
+        cache_blocks=args.cache_blocks,
+        max_clients=args.max_clients,
+        num_shards=args.num_shards,
+        shard_index=args.shard_index,
+        slow_query_ms=args.slow_query_ms,
+        slow_query_log=args.slow_query_log,
+        extra_store=args.extra_store,
+    )
+    if args.metrics_interval is not None:
+        if args.metrics_interval <= 0:
+            raise ReproError(
+                f"--metrics-interval must be positive, got {args.metrics_interval}"
             )
-        else:
-            target = args.store
-        server_cls = NGramStoreHTTPServer if args.http else NGramStoreServer
-        server = server_cls(target, config=config)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        if not args.metrics_file:
+            raise ReproError("--metrics-interval requires --metrics-file")
+    if config.num_shards > 1:
+        from repro.ngramstore.lsm import is_lsm_dir
+
+        if is_lsm_dir(args.store):
+            # Range sharding slices one store's partition list; an LSM
+            # directory has one list per generation, so there is no
+            # single slice to own.  Compact --all first, then shard.
+            raise ReproError(
+                f"{args.store!r} is an LSM store directory; range-sharded "
+                "serving needs a single-generation store — run "
+                "`repro compact --all` first"
+            )
+        # Sharded: open the store behind a shared cache and serve only
+        # the owned slice of its partitions.
+        cache = BlockCache(config.cache_blocks)
+        target: object = ShardView(
+            NGramStore.open(args.store, cache=cache),
+            config.shard_index,
+            config.num_shards,
+        )
+    else:
+        target = args.store
+    server_cls = NGramStoreHTTPServer if args.http else NGramStoreServer
+    server = server_cls(target, config=config)
     try:
         host, port = server.start()
     except OSError as error:
@@ -1054,7 +1030,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"serving {args.store} on {host}:{port} "
         f"({server.store.num_records} n-grams, {server.store.num_partitions} partitions, "
         f"cache={args.cache_blocks} blocks, max-clients={args.max_clients}, "
-        f"protocol={config.protocol}{shard_note})",
+        f"protocol={server.protocol}{shard_note})",
         flush=True,
     )
     if args.ready_file:
@@ -1148,67 +1124,63 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             raise ReproError(f"--connect expects HOST:PORT, got {endpoint!r}")
         return host, int(port)
 
-    try:
-        config = LoadgenConfig(
-            mixes=tuple(args.mixes.split(",")) if args.mixes else MIXES,
-            requests_per_mix=args.requests,
-            concurrency=args.concurrency,
-            seed=args.seed,
-            batch_size=args.batch_size,
-            universe=args.universe,
-            zipf_s=args.zipf_s,
-        )
-        if args.store is not None:
-            from repro.ngramstore.lsm import open_store_auto
+    config = LoadgenConfig(
+        mixes=tuple(args.mixes.split(",")) if args.mixes else MIXES,
+        requests_per_mix=args.requests,
+        concurrency=args.concurrency,
+        seed=args.seed,
+        batch_size=args.batch_size,
+        universe=args.universe,
+        zipf_s=args.zipf_s,
+    )
+    if args.store is not None:
+        from repro.ngramstore.lsm import open_store_auto
 
-            # A direct store is safe to share across the worker threads.
-            factory = None
-            generator = open_store_auto(args.store)
-            label = args.store
+        # A direct store is safe to share across the worker threads.
+        factory = None
+        generator = open_store_auto(args.store)
+        label = args.store
+    else:
+        if args.connect:
+            from repro.ngramstore.server import StoreClient
+
+            endpoints = [parse_endpoint(endpoint) for endpoint in args.connect]
+            builders = [
+                (lambda host=host, port=port: StoreClient(host, port))
+                for host, port in endpoints
+            ]
+            label = ",".join(f"{host}:{port}" for host, port in endpoints)
         else:
-            if args.connect:
-                from repro.ngramstore.server import StoreClient
+            from repro.ngramstore.http import HttpStoreClient
 
-                endpoints = [parse_endpoint(endpoint) for endpoint in args.connect]
-                builders = [
-                    (lambda host=host, port=port: StoreClient(host, port))
-                    for host, port in endpoints
-                ]
-                label = ",".join(f"{host}:{port}" for host, port in endpoints)
-            else:
-                from repro.ngramstore.http import HttpStoreClient
+            builders = [(lambda url=url: HttpStoreClient(url)) for url in args.url]
+            label = ",".join(args.url)
+        if len(builders) == 1:
+            factory = builders[0]
+        elif args.topology == "replicas":
+            from repro.ngramstore.router import ReplicaPool
 
-                builders = [(lambda url=url: HttpStoreClient(url)) for url in args.url]
-                label = ",".join(args.url)
-            if len(builders) == 1:
-                factory = builders[0]
-            elif args.topology == "replicas":
-                from repro.ngramstore.router import ReplicaPool
+            def factory():
+                return ReplicaPool([build() for build in builders])
 
-                def factory():
-                    return ReplicaPool([build() for build in builders])
+        elif args.topology == "sharded":
+            from repro.ngramstore.router import ShardRouter
 
-            elif args.topology == "sharded":
-                from repro.ngramstore.router import ShardRouter
+            def factory():
+                return ShardRouter([build() for build in builders])
 
-                def factory():
-                    return ShardRouter([build() for build in builders])
-
-            else:
-                print(
-                    "error: multiple endpoints need --topology replicas or sharded",
-                    file=sys.stderr,
-                )
-                return 2
-            label = f"{args.topology}({label})" if len(builders) > 1 else label
-            generator = factory()
-        try:
-            report = run_loadgen(generator, config, factory=factory, target=label)
-        finally:
-            generator.close()
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        else:
+            print(
+                "error: multiple endpoints need --topology replicas or sharded",
+                file=sys.stderr,
+            )
+            return 2
+        label = f"{args.topology}({label})" if len(builders) > 1 else label
+        generator = factory()
+    try:
+        report = run_loadgen(generator, config, factory=factory, target=label)
+    finally:
+        generator.close()
 
     slo = SLOTargets(
         p50_ms=args.slo_p50_ms,
@@ -1243,17 +1215,13 @@ def _cmd_merge_stores(args: argparse.Namespace) -> int:
     from repro.ngramstore import NGramStore
     from repro.ngramstore.merge import merge_stores
 
-    try:
-        merge_stores(
-            args.inputs,
-            args.output,
-            store=_store_config_from_args(args),
-            min_frequency=args.tau,
-            allow_lower_bound=args.allow_lower_bound,
-        )
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    merge_stores(
+        args.inputs,
+        args.output,
+        store=_store_config_from_args(args),
+        min_frequency=args.tau,
+        allow_lower_bound=args.allow_lower_bound,
+    )
     with NGramStore.open(args.output) as merged:
         residual = merged.manifest.get("residual")
         residual_note = (
@@ -1273,16 +1241,12 @@ def _cmd_rethreshold(args: argparse.Namespace) -> int:
     from repro.ngramstore import NGramStore
     from repro.ngramstore.merge import merge_stores
 
-    try:
-        merge_stores(
-            [args.store],
-            args.output,
-            store=_store_config_from_args(args),
-            min_frequency=args.tau,
-        )
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    merge_stores(
+        [args.store],
+        args.output,
+        store=_store_config_from_args(args),
+        min_frequency=args.tau,
+    )
     with NGramStore.open(args.output) as result:
         residual = result.manifest.get("residual")
         residual_note = (
@@ -1391,9 +1355,6 @@ def _cmd_analytics(args: argparse.Namespace) -> int:
                         cells = f"{relative_a / relative_b:.6f}"
                 print(f"{cells}\t{rendered}")
                 printed += 1
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # Streaming into a closed pipe (e.g. `| head`) is a normal way to
         # consume these reports; exit quietly with the conventional status.
@@ -1406,28 +1367,24 @@ def _cmd_analytics(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     from repro.ngramstore.lsm import LSMStore
 
-    try:
-        execution = _execution_from_args(args)
-        if args.init:
-            store = LSMStore.init(
-                args.store,
-                min_frequency=args.tau,
-                max_length=args.sigma,
-                algorithm=args.algorithm,
-                store=StoreConfig(
-                    num_partitions=args.store_partitions,
-                    codec=args.store_codec,
-                    bloom_bits_per_key=args.store_bloom_bits,
-                ),
-            )
-            print(f"initialised LSM store at {args.store} (tau={store.min_frequency})")
-        else:
-            store = LSMStore.open(args.store)
-        collection = read_encoded_collection(args.input)
-        entry = store.ingest(collection, source=args.input, execution=execution)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    execution = _execution_from_args(args)
+    if args.init:
+        store = LSMStore.init(
+            args.store,
+            min_frequency=args.tau,
+            max_length=args.sigma,
+            algorithm=args.algorithm,
+            store=StoreConfig(
+                num_partitions=args.store_partitions,
+                codec=args.store_codec,
+                bloom_bits_per_key=args.store_bloom_bits,
+            ),
+        )
+        print(f"initialised LSM store at {args.store} (tau={store.min_frequency})")
+    else:
+        store = LSMStore.open(args.store)
+    collection = read_encoded_collection(args.input)
+    entry = store.ingest(collection, source=args.input, execution=execution)
     print(
         f"ingested {args.input} as generation {entry['name']} "
         f"({entry['num_records']} records, "
@@ -1441,16 +1398,12 @@ def _cmd_compact(args: argparse.Namespace) -> int:
 
     tier_ratio = args.tier_ratio if args.tier_ratio is not None else DEFAULT_TIER_RATIO
     min_tier = args.min_tier if args.min_tier is not None else DEFAULT_MIN_TIER
-    try:
-        store = LSMStore.open(args.store)
-        stats = store.compact(
-            all_generations=args.all_generations,
-            tier_ratio=tier_ratio,
-            min_tier=min_tier,
-        )
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    store = LSMStore.open(args.store)
+    stats = store.compact(
+        all_generations=args.all_generations,
+        tier_ratio=tier_ratio,
+        min_tier=min_tier,
+    )
     if stats is None:
         print(
             f"nothing to compact in {args.store} "
@@ -1647,7 +1600,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "coderivatives": _cmd_coderivatives,
         "trends": _cmd_trends,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ReproError as error:
+        # Every handler's expected failures (bad input, bad configuration,
+        # an unreachable or failing store) exit the same way: one line on
+        # stderr, status 2 — never a traceback.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -344,15 +344,6 @@ class ServerConfig:
     max_clients:
         Concurrently served connections; further connects wait in the
         listen backlog until a handler slot frees up.
-    protocol:
-        Wire protocol to serve: ``"socket"`` (newline-delimited JSON over
-        TCP, the efficient in-repo path) or ``"http"`` (the REST adapter,
-        reachable by curl/browsers/load balancers).
-    binary:
-        Whether a socket server negotiates the binary framing of
-        :mod:`repro.ngramstore.wire` with capable clients (on by
-        default); with ``False`` the server is JSON-only, exactly the
-        pre-binary behaviour old deployments pin.
     num_shards / shard_index:
         Range sharding: serve only shard ``shard_index`` of a
         ``num_shards``-way split of the store's partitions.  The default
@@ -376,8 +367,6 @@ class ServerConfig:
     port: int = 0
     cache_blocks: int = 256
     max_clients: int = 32
-    protocol: str = "socket"
-    binary: bool = True
     num_shards: int = 1
     shard_index: int = 0
     slow_query_ms: Optional[float] = None
@@ -397,10 +386,6 @@ class ServerConfig:
             )
         if self.max_clients < 1:
             raise ConfigurationError(f"max_clients must be >= 1, got {self.max_clients}")
-        if self.protocol not in ("socket", "http"):
-            raise ConfigurationError(
-                f"protocol must be 'socket' or 'http', got {self.protocol!r}"
-            )
         if self.num_shards < 1:
             raise ConfigurationError(f"num_shards must be >= 1, got {self.num_shards}")
         if not 0 <= self.shard_index < self.num_shards:

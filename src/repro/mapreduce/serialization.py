@@ -77,8 +77,8 @@ def write_frame(handle: BinaryIO, payload: bytes) -> int:
     """Append one varint-length-prefixed byte frame; returns bytes written.
 
     The frame is ``varint(len(payload)) + payload`` — the length prefix of
-    the spill files, the store's data blocks, and the binary wire protocol
-    (:mod:`repro.ngramstore.wire`), so every layer shares one framing idiom.
+    the spill files and the store's data blocks, so both layers share one
+    framing idiom.
     """
     header = encode_varint(len(payload))
     handle.write(header)
@@ -86,19 +86,14 @@ def write_frame(handle: BinaryIO, payload: bytes) -> int:
     return len(header) + len(payload)
 
 
-def read_frame(handle: BinaryIO, max_bytes: Optional[int] = None) -> Optional[bytes]:
+def read_frame(handle: BinaryIO) -> Optional[bytes]:
     """Read one byte frame; ``None`` at a clean end-of-stream.
 
-    A stream ending mid-frame (or a frame longer than ``max_bytes``) raises
-    — both can only mean truncation or a corrupt/hostile peer.
+    A stream ending mid-frame raises — that can only mean truncation.
     """
     length, at_eof = read_stream_varint(handle)
     if at_eof:
         return None
-    if max_bytes is not None and length > max_bytes:
-        raise SerializationError(
-            f"frame of {length} bytes exceeds the {max_bytes}-byte limit"
-        )
     payload = handle.read(length)
     if len(payload) != length:
         raise SerializationError(

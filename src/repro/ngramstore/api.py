@@ -35,10 +35,9 @@ the socket :class:`~repro.ngramstore.server.StoreClient`, the
 :class:`QueryEngine` is the transport-independent server half: it maps one
 request object of the unified wire schema (shared verbatim by the TCP
 socket protocol and the HTTP adapter) to one response object, enforcing
-the server-side result caps.  Legacy request spellings (``ngram`` /
-``tokens`` instead of ``key``) are still served via
-:func:`normalize_request`, which flags them with a ``deprecated`` note in
-the response instead of breaking old clients.
+the server-side result caps.  Keys are spelled ``key`` (one) or ``keys``
+(a batch) in every operation; any other spelling is an error naming the
+field.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Se
 
 from repro.exceptions import StoreError, VocabularyError
 from repro.ngramstore.table import TOP_K_ORDERS, validate_top_k
-from repro.util.tracing import TRACE_FIELD, trace_id_of
 
 _MISSING = object()
 
@@ -106,40 +104,6 @@ OPERATIONS = (
     "metrics",
     "ping",
 )
-
-#: Legacy request field spellings still accepted (deprecation shim): the
-#: pre-redesign socket protocol said ``{"op": "get", "ngram": [...]}`` and
-#: ``{"op": "prefix", "tokens": [...]}``; the unified schema uses ``key``
-#: everywhere.  Old spellings are served, but flagged in the response.
-LEGACY_REQUEST_FIELDS = {"ngram": "key", "tokens": "key"}
-
-
-def normalize_request(request: Dict[str, Any]) -> Tuple[Dict[str, Any], Optional[str]]:
-    """Map legacy request field spellings onto the unified schema.
-
-    Returns the (possibly rewritten) request and a deprecation note when a
-    legacy spelling was used — the server copies the note into the
-    response so old clients keep working but see the migration hint.
-
-    The optional ``trace`` field (``{"id": "<hex>"}``, see
-    :mod:`repro.util.tracing`) is part of the canonical schema: a
-    well-formed trace passes through untouched so the server can adopt
-    the client's request ID, while a malformed one is dropped here —
-    tracing is telemetry and must never fail a query.  Servers predating
-    the field simply never read it.
-    """
-    notes = []
-    for legacy, canonical in LEGACY_REQUEST_FIELDS.items():
-        if legacy in request:
-            request = dict(request)
-            value = request.pop(legacy)
-            request.setdefault(canonical, value)
-            notes.append(f"request field {legacy!r} is deprecated; use {canonical!r}")
-    if TRACE_FIELD in request and trace_id_of(request) is None:
-        request = dict(request)
-        del request[TRACE_FIELD]
-    return request, "; ".join(notes) if notes else None
-
 
 def validate_complete_k(k: Any) -> int:
     """Validate a ``complete`` result size: a positive int within the cap."""
@@ -423,12 +387,8 @@ class RemoteStore(StoreAPI):
 
     @staticmethod
     def _strip_envelope(response: Dict[str, Any]) -> Dict[str, Any]:
-        """Drop protocol fields so remote stats match local ones byte for byte."""
-        return {
-            key: value
-            for key, value in response.items()
-            if key not in ("ok", "deprecated")
-        }
+        """Drop the ``ok`` field so remote stats match local ones byte for byte."""
+        return {key: value for key, value in response.items() if key != "ok"}
 
     def stats(self) -> Dict[str, Any]:
         return self._strip_envelope(self._call({"op": "stats"}))

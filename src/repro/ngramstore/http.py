@@ -3,10 +3,13 @@
 The socket protocol (:mod:`repro.ngramstore.server`) is the efficient
 path for in-repo clients; this adapter makes the same store reachable by
 anything that speaks HTTP — ``curl``, a browser, a load balancer's
-health check — without adding a dependency.  One
-:class:`~http.server.ThreadingHTTPServer` serves two surfaces over the
-same :class:`~repro.ngramstore.api.QueryEngine` the socket server uses
-(so both transports answer byte-identically by construction):
+health check — without adding a dependency.
+:class:`NGramStoreHTTPServer` is a
+:class:`~repro.ngramstore.server.StoreServerBase` like the socket server,
+so both run every request through the same ``_execute`` path (one
+:class:`~repro.ngramstore.api.QueryEngine`, one set of metrics and one
+slow-query log) and answer byte-identically by construction.  One
+:class:`~http.server.ThreadingHTTPServer` serves two surfaces:
 
 * ``POST /query`` — the full unified request schema as a JSON body,
   answered exactly like one socket protocol line::
@@ -39,7 +42,6 @@ expected (including inside replica pools and shard routers).
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from http import client as http_client
@@ -47,29 +49,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib import parse as urllib_parse
 
-from repro.config import ServerConfig
 from repro.exceptions import StoreConnectionError, StoreError
-from repro.ngramstore.api import (
-    OPERATIONS,
-    QueryEngine,
-    RemoteStore,
-    ensure_comparable_vocabulary,
-    normalize_request,
-)
-from repro.ngramstore.reader import NGramStore
-from repro.ngramstore.server import (
-    MAX_REQUEST_BYTES,
-    ServerMetrics,
-    build_cache_summary,
-    collect_io_counters,
-    finish_request_observation,
-    register_store_observables,
-    render_server_metrics,
-)
-from repro.ngramstore.table import BlockCache
+from repro.ngramstore.api import RemoteStore
+from repro.ngramstore.server import MAX_REQUEST_BYTES, StoreServerBase
 from repro.util.metrics import default_registry
 from repro.util.timer import Stopwatch
-from repro.util.tracing import SlowQueryLog, TraceContext, attach_trace
+from repro.util.tracing import attach_trace
 
 #: GET routes that map straight to unified-schema operations.
 _GET_OPERATIONS = (
@@ -156,48 +141,10 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _answer(
-        self, operation: str, request: Dict[str, Any], parse_seconds: float = 0.0
-    ) -> None:
-        """Run one unified-schema request and write the HTTP response."""
-        owner = self.server.owner
-        watch = Stopwatch()
-        trace = TraceContext.from_request(request)
-        if parse_seconds:
-            trace.add_stage("parse", parse_seconds)
-        status = 200
-        io_before: Optional[Dict[str, float]] = None
-        try:
-            if operation == "server_stats":
-                response: Dict[str, Any] = owner.server_stats()
-            elif operation == "metrics":
-                response = {"text": render_server_metrics(owner.metrics, owner.store)}
-            else:
-                request, deprecated = normalize_request(request)
-                io_before = collect_io_counters(owner.store, operation)
-                response = owner.engine.handle(request, trace=trace)
-                if deprecated:
-                    response["deprecated"] = deprecated
-            response["ok"] = True
-        except (StoreError, KeyError, TypeError, ValueError) as error:
-            status = 400
-            response = {"ok": False, "error": f"{error}"}
-        bucket = operation if operation in OPERATIONS else "invalid"
-        io_after = (
-            collect_io_counters(owner.store, operation) if io_before is not None else None
-        )
-        finish_request_observation(
-            owner.metrics,
-            owner.slow_log,
-            trace,
-            bucket,
-            request,
-            watch.elapsed() + parse_seconds,
-            status == 200,
-            io_before,
-            io_after,
-        )
-        self._send_json(status, response)
+    def _answer(self, request: Any, parse_seconds: float = 0.0) -> None:
+        """Run one request through the server's ``_execute`` and reply."""
+        response = self.server.owner._execute(request, parse_seconds=parse_seconds)
+        self._send_json(200 if response["ok"] else 400, response)
 
     # ------------------------------------------------------------- verbs
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler naming)
@@ -209,7 +156,7 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
             # The Prometheus scrape surface: raw exposition text, not the
             # JSON envelope (scrapers do not speak the unified schema).
             watch = Stopwatch()
-            text = render_server_metrics(owner.metrics, owner.store)
+            text = owner.metrics_text()
             owner.metrics.record("metrics", watch.elapsed(), True)
             self._send_text(200, text, METRICS_CONTENT_TYPE)
             return
@@ -225,12 +172,12 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
             )
             return
         try:
-            request = _request_from_query(operation, urllib_parse.parse_qs(parsed.query))
+            request: Any = _request_from_query(
+                operation, urllib_parse.parse_qs(parsed.query)
+            )
         except StoreError as error:
-            owner.metrics.record(operation, 0.0, False)
-            self._send_json(400, {"ok": False, "error": f"{error}"})
-            return
-        self._answer(operation, request)
+            request = error
+        self._answer(request)
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib handler naming)
         owner = self.server.owner
@@ -251,15 +198,10 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         body = self.rfile.read(length)
         parse_watch = Stopwatch()
         try:
-            request = json.loads(body)
-            if not isinstance(request, dict):
-                raise StoreError("request must be a JSON object")
-        except (ValueError, StoreError) as error:
-            owner.metrics.record("invalid", 0.0, False)
-            self._send_json(400, {"ok": False, "error": f"invalid request: {error}"})
-            return
-        parse_seconds = parse_watch.elapsed()
-        self._answer(str(request.get("op")), request, parse_seconds=parse_seconds)
+            request: Any = json.loads(body)
+        except ValueError as error:
+            request = StoreError(f"request is not valid JSON: {error}")
+        self._answer(request, parse_seconds=parse_watch.elapsed())
 
 
 class _HTTPServer(ThreadingHTTPServer):
@@ -272,103 +214,29 @@ class _HTTPServer(ThreadingHTTPServer):
         super().__init__(address, _StoreRequestHandler)
 
 
-class NGramStoreHTTPServer:
+class NGramStoreHTTPServer(StoreServerBase):
     """Serves one store (or shard view) over HTTP; see the module docstring.
 
-    The lifecycle mirrors :class:`~repro.ngramstore.server.NGramStoreServer`:
-    construct with a store directory (the server opens it behind a shared
-    block cache) or a caller-managed store object, ``start()`` to bind and
-    serve from background threads, ``close()`` to stop and release the
-    store.  ``config.max_clients`` is advisory here — the stdlib threading
-    server spawns a thread per request — so the knob that matters is the
-    shared ``cache_blocks``.
+    Construction, ``start()``/``close()`` and request handling are the
+    :class:`~repro.ngramstore.server.StoreServerBase` ones the socket
+    server uses.  ``config.max_clients`` is advisory here — the stdlib
+    threading server spawns a thread per request — so the knob that
+    matters is the shared ``cache_blocks``.
     """
 
-    def __init__(self, store: Any, config: Optional[ServerConfig] = None) -> None:
-        self.config = config if config is not None else ServerConfig()
-        if isinstance(store, (str, os.PathLike)):
-            from repro.ngramstore.lsm import open_store_auto
+    protocol = "http"
+    _httpd: _HTTPServer
 
-            self.cache: Optional[BlockCache] = BlockCache(self.config.cache_blocks)
-            self.store = open_store_auto(str(store), cache=self.cache)
-        else:
-            self.store = store
-            self.cache = getattr(store, "cache", None)
-        self.extra_store: Any = None
-        if self.config.extra_store is not None:
-            from repro.ngramstore.lsm import open_store_auto
-
-            # Mirrors the socket server: the comparison store rides the
-            # shared block cache and must agree on the vocabulary.
-            try:
-                self.extra_store = open_store_auto(
-                    self.config.extra_store, cache=self.cache
-                )
-                ensure_comparable_vocabulary(self.store, self.extra_store)
-            except Exception:
-                if self.extra_store is not None:
-                    self.extra_store.close()
-                self.store.close()
-                raise
-        self.engine = QueryEngine(self.store, extra_store=self.extra_store)
-        self.metrics = ServerMetrics()
-        self.slow_log = (
-            SlowQueryLog(self.config.slow_query_ms, self.config.slow_query_log)
-            if self.config.slow_query_ms is not None
-            else None
-        )
-        register_store_observables(self.metrics.registry, self.store, self.cache)
-        self.host = self.config.host
-        self.port = self.config.port
-        self._httpd: Optional[_HTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
-        self._closed = False
-
-    # ------------------------------------------------------------- serving
-    def server_stats(self) -> Dict[str, Any]:
-        snapshot = self.metrics.snapshot()
-        snapshot["cache"] = self.cache_summary()
-        return snapshot
-
-    def cache_summary(self) -> Dict[str, Any]:
-        return build_cache_summary(self.store, self.cache)
-
-    # ----------------------------------------------------------- lifecycle
-    def start(self) -> Tuple[str, int]:
-        """Bind, listen and serve in background threads; returns (host, port)."""
-        if self._httpd is not None:
-            raise StoreError("server already started")
+    def _bind(self) -> int:
         self._httpd = _HTTPServer((self.host, self.port), self)
-        self.port = self._httpd.server_address[1]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="ngramstore-http",
-            daemon=True,
-        )
-        self._thread.start()
-        return self.host, self.port
+        return self._httpd.server_address[1]
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        if self.slow_log is not None:
-            self.slow_log.close()
-        if self.extra_store is not None:
-            self.extra_store.close()
-        self.store.close()
+    def _serve_forever(self) -> None:
+        self._httpd.serve_forever()
 
-    def __enter__(self) -> "NGramStoreHTTPServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+    def _stop_serving(self) -> None:
+        self._httpd.shutdown()
+        self._httpd.server_close()
 
 
 class HttpStoreClient(RemoteStore):

@@ -20,7 +20,7 @@ Mixes
     shape (autocomplete, language-model context expansion).
 ``batch``
     ``multi_get`` of ``batch_size`` uniformly drawn keys — the batched
-    client shape the binary wire protocol exists for.
+    client shape that saves one round trip per key.
 ``mixed``
     A blend of the above in fixed proportions (70% get / 20% prefix /
     10% batch) — the steady-state composite.

@@ -48,26 +48,20 @@ adapter in :mod:`repro.ngramstore.http`)::
 Keys travel as JSON arrays of term identifiers (the store's native keys);
 term-keyed variants (``"terms"`` instead of ``"key"``/``"keys"``, or
 ``"surface": true`` on ``top_k``) run the vocabulary translation
-server-side, where the dictionary lives.  The pre-redesign spellings
-``"ngram"`` (get) and ``"tokens"`` (prefix) are still served, flagged
-with a ``"deprecated"`` note in the response.  Failures come back as
-``{"ok": false, "error": ...}`` on the same stream, so one bad request
-does not cost the connection.  :class:`StoreClient` is the in-repo
-client: a :class:`~repro.ngramstore.api.RemoteStore` that speaks the
-protocol and hands back the canonical records, exactly what
-:class:`NGramStore` itself returns — the serve-smoke CI step asserts that
-equivalence byte for byte.
+server-side, where the dictionary lives.  Failures — including a line
+that is not JSON at all — come back as ``{"ok": false, "error": ...}`` on
+the same stream, so one bad request does not cost the connection.
+:class:`StoreClient` is the in-repo client: a
+:class:`~repro.ngramstore.api.RemoteStore` that speaks the protocol and
+hands back the canonical records, exactly what :class:`NGramStore` itself
+returns — the serve-smoke CI step asserts that equivalence byte for byte.
 
-Newline-JSON is the *fallback*; the preferred framing is the binary
-protocol of :mod:`repro.ngramstore.wire`, negotiated on connect: a
-binary-capable client opens with the ``NGWIRE1\\n`` magic line, a
-binary-capable server answers with a framed hello and both sides switch
-to varint-framed binary messages carrying the same request/response
-objects.  A legacy JSON server parses the magic as a malformed request
-and answers an error line — the client sees the ``{`` byte, consumes the
-line and falls back to JSON.  A legacy JSON client never sends the magic
-and is served exactly as before.  Both framings feed the same
-:class:`QueryEngine`, so answers are value-identical by construction.
+Everything except the framing lives in :class:`StoreServerBase`: store
+and ``--extra-store`` opening, the :class:`QueryEngine`, metrics, the
+slow-query log and the request → response path :meth:`~StoreServerBase._execute`.
+:class:`NGramStoreServer` adds newline-JSON over TCP; the HTTP server in
+:mod:`repro.ngramstore.http` adds HTTP on the same base, so both
+transports answer, count and log requests identically by construction.
 """
 
 from __future__ import annotations
@@ -78,11 +72,10 @@ import os
 import socket
 import threading
 import time
-import warnings
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.config import ServerConfig
-from repro.exceptions import SerializationError, StoreConnectionError, StoreError
+from repro.exceptions import StoreConnectionError, StoreError
 from repro.ngramstore.api import (
     MAX_PREFIX_RECORDS,
     MAX_TOP_K,
@@ -90,16 +83,8 @@ from repro.ngramstore.api import (
     QueryEngine,
     RemoteStore,
     ensure_comparable_vocabulary,
-    normalize_request,
 )
-from repro.ngramstore.reader import NGramStore
 from repro.ngramstore.table import BlockCache
-from repro.ngramstore.wire import (
-    WIRE_MAGIC,
-    encode_hello,
-    encode_message,
-    read_message,
-)
 from repro.util.metrics import MetricsRegistry, snapshot_quantile
 from repro.util.timer import Stopwatch
 from repro.util.tracing import SlowQueryLog, TraceContext, attach_trace
@@ -112,10 +97,9 @@ __all__ = [
     "OPERATIONS",
     "ServerMetrics",
     "StoreClient",
-    "build_cache_summary",
+    "StoreServerBase",
     "percentile",
     "register_store_observables",
-    "render_server_metrics",
     "request_key_count",
 ]
 
@@ -271,28 +255,6 @@ class ServerMetrics:
         }
 
 
-def build_cache_summary(store: Any, cache: Optional[BlockCache]) -> Dict[str, Any]:
-    """Block-cache counters, JSON-ready (the ``server_stats`` cache shape).
-
-    ``store.cache_stats()`` covers both layouts — the shared cache's
-    counters, or the per-table aggregate for caller-managed stores;
-    capacity/residency only exist when one shared cache is in play.
-    Shared between the socket server and the HTTP adapter so both report
-    the same shape.
-    """
-    stats = store.cache_stats()
-    summary: Dict[str, Any] = {
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "evictions": stats.evictions,
-        "hit_rate": round(stats.hit_rate, 6),
-    }
-    if cache is not None:
-        summary["capacity_blocks"] = cache.capacity
-        summary["resident_blocks"] = len(cache)
-    return summary
-
-
 def register_store_observables(
     registry: MetricsRegistry,
     store: Any,
@@ -304,8 +266,8 @@ def register_store_observables(
     The block cache, the reader's I/O counters and the connection set all
     keep live state of their own; callback gauges read them at scrape
     time instead of mirroring every mutation, so the hot path pays
-    nothing for exposition.  Shared by the socket server and the HTTP
-    adapter so both expose the same catalog.
+    nothing for exposition.  :class:`StoreServerBase` calls it once per
+    server, so both transports expose the same catalog.
     """
     if hasattr(store, "cache_stats"):
         cache_events = registry.gauge(
@@ -395,7 +357,7 @@ def finish_request_observation(
 ) -> None:
     """One request's tail: metrics, stage histograms, maybe a slow-log line.
 
-    Shared by the socket server and the HTTP adapter so stage attribution
+    Called only from :meth:`StoreServerBase._execute`, so stage attribution
     and the slow-query record shape cannot drift between transports.  When
     I/O counters were captured around the request, the engine's ``read``
     stage is split into ``block_read`` vs ``decode`` using the decode-time
@@ -435,41 +397,31 @@ def finish_request_observation(
         slow_log.record(entry)
 
 
-def render_server_metrics(metrics: ServerMetrics, store: Any) -> str:
-    """The full Prometheus exposition for one server.
+class StoreServerBase:
+    """Everything a store server does apart from its framing.
 
-    A store that is itself an observable component (a
-    :class:`~repro.ngramstore.router.ShardRouter` or
-    :class:`~repro.ngramstore.router.ReplicaPool` fronted by this server)
-    carries its own ``metrics_registry``; its series are appended so a
-    gateway deployment exposes router fan-out and quarantine series from
-    the same ``/metrics`` scrape.
-    """
-    text = metrics.registry.render_prometheus()
-    store_registry = getattr(store, "metrics_registry", None)
-    if store_registry is not None and store_registry is not metrics.registry:
-        text += store_registry.render_prometheus()
-    return text
-
-
-class NGramStoreServer:
-    """Serves one store to concurrent socket clients; see the module docstring.
-
-    ``max_clients`` bounds the handler threads: when every slot is busy the
-    accept loop simply stops accepting, so excess connections queue in the
-    listen backlog (backpressure) instead of failing or piling up threads.
+    Construct with a store directory (opened behind one shared block
+    cache) or a caller-managed store object; ``config.extra_store`` mounts
+    the comparison store.  The base owns the :class:`QueryEngine`, the
+    metrics, the slow-query log and :meth:`_execute`, the one request →
+    response path.  A subclass names its ``protocol``, binds in
+    :meth:`_bind`, serves in :meth:`_serve_forever` (run on a background
+    thread by :meth:`start`) and stops in :meth:`_stop_serving`.
     """
 
-    def __init__(
-        self,
-        store: Any,
-        config: Optional[ServerConfig] = None,
-    ) -> None:
+    #: Transport name, as printed by ``repro serve``.
+    protocol = ""
+
+    #: Open-connection count for the ``active_connections`` gauge and
+    #: ``server_stats`` field; ``None`` when the transport does not track it.
+    _active_connections: Optional[Callable[[], int]] = None
+
+    def __init__(self, store: Any, config: Optional[ServerConfig] = None) -> None:
         self.config = config if config is not None else ServerConfig()
-        if isinstance(store, (str, os.PathLike)):
-            from repro.ngramstore.lsm import open_store_auto
+        from repro.ngramstore.lsm import open_store_auto
 
-            self.cache = BlockCache(self.config.cache_blocks)
+        if isinstance(store, (str, os.PathLike)):
+            self.cache: Optional[BlockCache] = BlockCache(self.config.cache_blocks)
             # Auto-detects the directory kind: a plain store opens as an
             # NGramStore, an LSM directory as a GenerationView over its
             # live generations — the serving tier is ingestion-agnostic.
@@ -484,8 +436,6 @@ class NGramStoreServer:
             self.cache = getattr(store, "cache", None)
         self.extra_store: Any = None
         if self.config.extra_store is not None:
-            from repro.ngramstore.lsm import open_store_auto
-
             # The comparison store shares the process-wide block cache when
             # one exists (entries are namespaced by path, so the two stores
             # never collide) and must speak the served store's vocabulary.
@@ -508,88 +458,209 @@ class NGramStoreServer:
             )
         self.host = self.config.host
         self.port = self.config.port
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._slots = threading.Semaphore(self.config.max_clients)
+        self._thread: Optional[threading.Thread] = None
         self._shutdown = threading.Event()
-        self._connections: "set[socket.socket]" = set()
-        self._connections_lock = threading.Lock()
         register_store_observables(
             self.metrics.registry, self.store, self.cache, self._active_connections
         )
 
-    def _active_connections(self) -> int:
-        with self._connections_lock:
-            return len(self._connections)
-
     # ----------------------------------------------------------- lifecycle
+    def _bind(self) -> int:
+        """Bind and listen; returns the bound port."""
+        raise NotImplementedError
+
+    def _serve_forever(self) -> None:
+        raise NotImplementedError
+
+    def _stop_serving(self) -> None:
+        """Unblock :meth:`_serve_forever` and drop open connections."""
+        raise NotImplementedError
+
     def start(self) -> Tuple[str, int]:
         """Bind, listen and serve in background threads; returns (host, port)."""
-        if self._listener is not None:
+        if self._thread is not None:
             raise StoreError("server already started")
-        self._listener = socket.create_server(
-            (self.host, self.port), backlog=self.config.max_clients
+        self.port = self._bind()
+        self._thread = threading.Thread(
+            target=self._serve_forever,
+            name=f"ngramstore-{self.protocol}",
+            daemon=True,
         )
-        self.port = self._listener.getsockname()[1]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="ngramstore-accept", daemon=True
-        )
-        self._accept_thread.start()
+        self._thread.start()
         return self.host, self.port
 
     def close(self) -> None:
-        """Stop accepting, drop open connections, close the store."""
+        """Stop serving, then release the slow-query log and the stores."""
         if self._shutdown.is_set():
             return
         self._shutdown.set()
-        if self._listener is not None:
-            # shutdown() before close(): on Linux, close() alone does not
-            # wake a thread blocked in accept() — it would sit there until
-            # the next (never-coming) connection.
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._connections_lock:
-            connections = list(self._connections)
-        for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                connection.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
+        if self._thread is not None:
+            self._stop_serving()
+            self._thread.join(timeout=5.0)
         if self.slow_log is not None:
             self.slow_log.close()
         if self.extra_store is not None:
             self.extra_store.close()
         self.store.close()
 
-    def __enter__(self) -> "NGramStoreServer":
+    def __enter__(self) -> "StoreServerBase":
         self.start()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
+    # --------------------------------------------------------- observation
     def cache_summary(self) -> Dict[str, Any]:
         """Block-cache counters, JSON-ready (the ``server_stats`` shape).
 
+        ``store.cache_stats()`` covers both layouts — the shared cache's
+        counters, or the per-table aggregate for caller-managed stores;
+        capacity/residency only exist when one shared cache is in play.
         The shared cache object outlives a closed store, so the CLI can
         still build its shutdown report from this.
         """
-        return build_cache_summary(self.store, self.cache)
+        stats = self.store.cache_stats()
+        summary: Dict[str, Any] = {
+            "hits": stats.hits,
+            "misses": stats.misses,
+            "evictions": stats.evictions,
+            "hit_rate": round(stats.hit_rate, 6),
+        }
+        if self.cache is not None:
+            summary["capacity_blocks"] = self.cache.capacity
+            summary["resident_blocks"] = len(self.cache)
+        return summary
+
+    def server_stats(self) -> Dict[str, Any]:
+        """Request metrics plus cache counters: the ``server_stats`` answer."""
+        snapshot = self.metrics.snapshot()
+        snapshot["cache"] = self.cache_summary()
+        if self._active_connections is not None:
+            snapshot["active_connections"] = self._active_connections()
+        return snapshot
+
+    def metrics_text(self) -> str:
+        """The full Prometheus exposition for this server.
+
+        A store that is itself an observable component (a
+        :class:`~repro.ngramstore.router.ShardRouter` or
+        :class:`~repro.ngramstore.router.ReplicaPool` fronted by this
+        server) carries its own ``metrics_registry``; its series are
+        appended so a gateway deployment exposes router fan-out and
+        quarantine series from the same scrape.
+        """
+        text = self.metrics.registry.render_prometheus()
+        store_registry = getattr(self.store, "metrics_registry", None)
+        if store_registry is not None and store_registry is not self.metrics.registry:
+            text += store_registry.render_prometheus()
+        return text
 
     # ------------------------------------------------------------- serving
-    def _accept_loop(self) -> None:
+    def _execute(self, request: Any, parse_seconds: float = 0.0) -> Dict[str, Any]:
+        """One decoded request -> one response dict, with metrics recorded.
+
+        Every transport calls this; they differ only in how bytes become
+        the request object and how the response object becomes bytes.
+        Pass an exception as ``request`` to report a decode failure
+        through the same error/metrics path.  ``server_stats`` and
+        ``metrics`` are transport state and are answered here; every
+        store query goes through the shared :class:`QueryEngine`.
+
+        ``parse_seconds`` is time the transport already spent decoding the
+        request bytes; it counts toward the request's latency and shows up
+        as the ``parse`` stage.
+        """
+        watch = Stopwatch()
+        operation = "invalid"
+        trace = TraceContext.from_request(request)
+        if parse_seconds:
+            trace.add_stage("parse", parse_seconds)
+        io_before: Optional[Dict[str, float]] = None
+        try:
+            if isinstance(request, Exception):
+                raise request
+            if not isinstance(request, dict):
+                raise StoreError("request must be a JSON object")
+            operation = str(request.get("op"))
+            if operation == "server_stats":
+                response = self.server_stats()
+            elif operation == "metrics":
+                response = {"text": self.metrics_text()}
+            else:
+                io_before = collect_io_counters(self.store, operation)
+                response = self.engine.handle(request, trace=trace)
+            response["ok"] = True
+        except (StoreError, KeyError, TypeError, ValueError) as error:
+            response = {"ok": False, "error": f"{error}"}
+        ok = response["ok"]
+        elapsed = watch.elapsed() + parse_seconds
+        # Clamp to the known set: client-chosen strings must not
+        # grow the metrics dict without bound on a long-lived server.
+        bucket = operation if operation in OPERATIONS else "invalid"
+        io_after = (
+            collect_io_counters(self.store, operation) if io_before is not None else None
+        )
+        finish_request_observation(
+            self.metrics,
+            self.slow_log,
+            trace,
+            bucket,
+            request,
+            elapsed,
+            ok,
+            io_before,
+            io_after,
+        )
+        return response
+
+
+class NGramStoreServer(StoreServerBase):
+    """Serves one store to concurrent socket clients; see the module docstring.
+
+    ``max_clients`` bounds the handler threads: when every slot is busy the
+    accept loop simply stops accepting, so excess connections queue in the
+    listen backlog (backpressure) instead of failing or piling up threads.
+    """
+
+    protocol = "socket"
+
+    def __init__(self, store: Any, config: Optional[ServerConfig] = None) -> None:
+        self._connections: "set[socket.socket]" = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(store, config)
+        self._listener: Optional[socket.socket] = None
+        self._slots = threading.Semaphore(self.config.max_clients)
+
+    def _active_connections(self) -> int:
+        with self._connections_lock:
+            return len(self._connections)
+
+    # ----------------------------------------------------------- lifecycle
+    def _bind(self) -> int:
+        self._listener = socket.create_server(
+            (self.host, self.port), backlog=self.config.max_clients
+        )
+        return self._listener.getsockname()[1]
+
+    def _stop_serving(self) -> None:
+        # shutdown() before close(): on Linux, close() alone does not
+        # wake a thread blocked in accept() — it would sit there until
+        # the next (never-coming) connection.
+        with self._connections_lock:
+            connections = list(self._connections)
+        for endpoint in [self._listener, *connections]:
+            try:
+                endpoint.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
+                endpoint.close()
+            except OSError:
+                pass
+
+    # ------------------------------------------------------------- serving
+    def _serve_forever(self) -> None:
         while not self._shutdown.is_set():
             # A free handler slot is a precondition for accepting: the
             # kernel backlog, not a thread pile-up, absorbs bursts beyond
@@ -632,21 +703,10 @@ class NGramStoreServer:
         try:
             reader = connection.makefile("rb")
             with reader:
-                first_line = True
                 while not self._shutdown.is_set():
                     line = reader.readline(MAX_REQUEST_BYTES + 1)
                     if not line:
                         return
-                    if (
-                        first_line
-                        and self.config.binary
-                        and line.rstrip(b"\r\n") == WIRE_MAGIC
-                    ):
-                        # Binary-capable client: answer the hello frame and
-                        # switch the whole connection to binary framing.
-                        self._serve_binary(connection, reader)
-                        return
-                    first_line = False
                     if len(line) > MAX_REQUEST_BYTES:
                         self._respond(
                             connection,
@@ -675,77 +735,6 @@ class NGramStoreServer:
                 pass
             self._slots.release()
 
-    def _serve_binary(self, connection: socket.socket, reader: Any) -> None:
-        """Serve one negotiated binary connection until it closes.
-
-        Framing errors (truncated, oversized or undecodable frames) end
-        the connection after one in-stream error message — past the frame
-        boundary nothing can be trusted, exactly like an unterminated JSON
-        line.  Requests that *decode* but are invalid are answered
-        in-stream and the connection lives on.
-        """
-        connection.sendall(encode_hello())
-        while not self._shutdown.is_set():
-            try:
-                request = read_message(reader, MAX_REQUEST_BYTES)
-            except SerializationError as error:
-                self._respond_binary(connection, {"ok": False, "error": f"{error}"})
-                return
-            if request is None:
-                return
-            if not self._respond_binary(connection, self._execute(request)):
-                return
-
-    def _execute(self, request: Any, parse_seconds: float = 0.0) -> Dict[str, Any]:
-        """One decoded request -> one response dict, with metrics recorded.
-
-        Shared by both framings — the protocols differ only in how bytes
-        become the request object and how the response object becomes
-        bytes.  Pass an exception as ``request`` to report a decode
-        failure through the same error/metrics path.
-
-        ``parse_seconds`` is time the transport already spent decoding the
-        request bytes; it counts toward the request's latency and shows up
-        as the ``parse`` stage.
-        """
-        watch = Stopwatch()
-        operation = "invalid"
-        trace = TraceContext.from_request(request)
-        if parse_seconds:
-            trace.add_stage("parse", parse_seconds)
-        io_before: Optional[Dict[str, float]] = None
-        try:
-            if isinstance(request, Exception):
-                raise request
-            if not isinstance(request, dict):
-                raise StoreError("request must be a JSON object")
-            operation = str(request.get("op"))
-            io_before = collect_io_counters(self.store, operation)
-            response = self._handle(operation, request, trace)
-            response["ok"] = True
-        except (StoreError, KeyError, TypeError, ValueError) as error:
-            response = {"ok": False, "error": f"{error}"}
-        ok = response.get("ok", False)
-        elapsed = watch.elapsed() + parse_seconds
-        # Clamp to the known set: client-chosen strings must not
-        # grow the metrics dict without bound on a long-lived server.
-        bucket = operation if operation in OPERATIONS else "invalid"
-        io_after = (
-            collect_io_counters(self.store, operation) if io_before is not None else None
-        )
-        finish_request_observation(
-            self.metrics,
-            self.slow_log,
-            trace,
-            bucket,
-            request,
-            elapsed,
-            ok,
-            io_before,
-            io_after,
-        )
-        return response
-
     def _respond(self, connection: socket.socket, response: Dict[str, Any]) -> bool:
         try:
             payload = json.dumps(response, separators=(",", ":"))
@@ -760,49 +749,6 @@ class NGramStoreServer:
             return True
         except OSError:
             return False
-
-    def _respond_binary(self, connection: socket.socket, response: Dict[str, Any]) -> bool:
-        try:
-            message = encode_message(response)
-        except SerializationError as error:
-            # Mirror of the JSON path's non-serialisable-value fallback.
-            message = encode_message(
-                {"ok": False, "error": f"value is not wire-serialisable: {error}"}
-            )
-        try:
-            connection.sendall(message)
-            return True
-        except OSError:
-            return False
-
-    # ------------------------------------------------------------ handlers
-    def _handle(
-        self,
-        operation: str,
-        request: Dict[str, Any],
-        trace: Optional[TraceContext] = None,
-    ) -> Dict[str, Any]:
-        """One request dict -> one response dict (without the ``ok`` field).
-
-        ``server_stats`` and ``metrics`` are transport state (metrics,
-        cache, connections) and are answered here; every store query goes
-        through the shared :class:`QueryEngine`, after
-        :func:`normalize_request` maps legacy field spellings onto the
-        unified schema.
-        """
-        if operation == "server_stats":
-            snapshot = self.metrics.snapshot()
-            snapshot["cache"] = self.cache_summary()
-            with self._connections_lock:
-                snapshot["active_connections"] = len(self._connections)
-            return snapshot
-        if operation == "metrics":
-            return {"text": render_server_metrics(self.metrics, self.store)}
-        request, deprecated = normalize_request(request)
-        response = self.engine.handle(request, trace=trace)
-        if deprecated:
-            response["deprecated"] = deprecated
-        return response
 
 
 class StoreClient(RemoteStore):
@@ -823,54 +769,26 @@ class StoreClient(RemoteStore):
     endpoint surfaces as :class:`StoreConnectionError`, which replica
     pools treat as "fail over", unlike an application
     :class:`StoreError` the server answered.
-
-    ``timeout=`` is the deprecated pre-redesign knob: it set one budget
-    for both connecting and reading.  Pass ``connect_timeout`` /
-    ``read_timeout`` instead.
-
-    ``protocol`` selects the wire framing: ``"auto"`` (the default) opens
-    with the binary magic and falls back to newline-JSON when the server
-    turns out not to speak it; ``"binary"`` requires the binary protocol
-    (a JSON-only server is an error); ``"json"`` skips negotiation and
-    speaks newline-JSON, byte-compatible with pre-binary clients.  The
-    negotiated mode is visible as ``negotiated_protocol``.
     """
 
     def __init__(
         self,
         host: str,
         port: int,
-        timeout: Optional[float] = None,
         *,
         connect_timeout: float = 5.0,
         read_timeout: float = 30.0,
         max_retries: int = 2,
         backoff: float = 0.05,
-        protocol: str = "auto",
     ) -> None:
-        if timeout is not None:
-            warnings.warn(
-                "StoreClient(timeout=...) is deprecated; use connect_timeout= "
-                "and read_timeout=",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            connect_timeout = timeout
-            read_timeout = timeout
         if max_retries < 0:
             raise StoreError(f"max_retries must be >= 0, got {max_retries}")
-        if protocol not in ("auto", "binary", "json"):
-            raise StoreError(
-                f"protocol must be 'auto', 'binary' or 'json', got {protocol!r}"
-            )
         self.host = host
         self.port = port
         self.connect_timeout = connect_timeout
         self.read_timeout = read_timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self.protocol = protocol
-        self.negotiated_protocol: Optional[str] = None
         self.last_trace_id: Optional[str] = None
         self._socket: Optional[socket.socket] = None
         self._reader: Optional[Any] = None
@@ -910,10 +828,6 @@ class StoreClient(RemoteStore):
                 )
                 self._socket.settimeout(self.read_timeout)
                 self._reader = self._socket.makefile("rb")
-                if self.protocol == "json":
-                    self.negotiated_protocol = "json"
-                else:
-                    self._negotiate()
                 return
             except OSError as error:
                 self._drop()
@@ -923,40 +837,6 @@ class StoreClient(RemoteStore):
                         f"after {attempts} attempts: {error}"
                     ) from error
                 time.sleep(self.backoff * (2 ** attempt))
-
-    def _negotiate(self) -> None:
-        """Offer the binary protocol; settle on what the server speaks.
-
-        The magic line is newline-terminated, so a legacy JSON server
-        parses it as one malformed request and answers an error line —
-        which necessarily starts with ``{``, a byte no binary hello frame
-        starts with (see :func:`repro.ngramstore.wire.encode_hello`).
-        Peeking that one byte tells the two servers apart without ever
-        desynchronising either stream.
-        """
-        self._socket.sendall(WIRE_MAGIC + b"\n")
-        peeked = self._reader.peek(1)
-        if not peeked:
-            raise ConnectionResetError("server closed during protocol negotiation")
-        if peeked[:1] == b"{":
-            # Legacy JSON server: it answered the magic with an error
-            # line.  Consume it and fall back (or fail, if binary was
-            # explicitly required).
-            self._reader.readline()
-            if self.protocol == "binary":
-                raise StoreConnectionError(
-                    f"store server {self.host}:{self.port} does not speak the "
-                    "binary protocol (protocol='binary' was required)"
-                )
-            self.negotiated_protocol = "json"
-            return
-        hello = read_message(self._reader, MAX_REQUEST_BYTES)
-        if not isinstance(hello, dict) or hello.get("protocol") != "binary":
-            raise StoreConnectionError(
-                f"store server {self.host}:{self.port} sent a malformed "
-                f"binary hello: {hello!r}"
-            )
-        self.negotiated_protocol = "binary"
 
     def _call(self, request: Dict[str, Any]) -> Dict[str, Any]:
         if self._closed:
@@ -974,12 +854,10 @@ class StoreClient(RemoteStore):
                     self._connect()
                 response = self._exchange(request)
                 break
-            except (OSError, SerializationError) as error:
+            except OSError as error:
                 # Reads are idempotent, so resending after a reconnect is
                 # safe; a connection that stays dead through the retry
-                # budget is a dead endpoint.  A framing error
-                # (SerializationError) means the stream cannot be trusted
-                # past this point — same remedy, reconnect.
+                # budget is a dead endpoint.
                 self._drop()
                 if attempt + 1 >= attempts:
                     raise StoreConnectionError(
@@ -992,17 +870,7 @@ class StoreClient(RemoteStore):
         return response
 
     def _exchange(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Send one request and read its response on the live connection."""
-        if self.negotiated_protocol == "binary":
-            self._socket.sendall(encode_message(request))
-            response = read_message(self._reader)
-            if response is None:
-                raise ConnectionResetError("server closed the connection")
-            if not isinstance(response, dict):
-                raise SerializationError(
-                    f"binary response is {type(response).__name__}, expected dict"
-                )
-            return response
+        """Send one request line and read its response line."""
         payload = json.dumps(request, separators=(",", ":")).encode("utf-8") + b"\n"
         self._socket.sendall(payload)
         line = self._reader.readline()

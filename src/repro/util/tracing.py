@@ -7,8 +7,8 @@ every request one identity and one timing ledger:
 
 * clients mint a **trace ID** at the entry point (:func:`attach_trace`)
   and send it as an optional ``trace`` field of the canonical request
-  schema — both wire protocols carry dicts, so the field costs nothing
-  and old servers simply ignore it;
+  schema — both transports carry JSON objects, so the field costs
+  nothing, and a malformed one is ignored rather than failing the query;
 * servers rebuild a :class:`TraceContext` from the incoming request
   (:meth:`TraceContext.from_request`), time named stages with
   ``with trace.stage("route"):`` as the request moves through parsing,

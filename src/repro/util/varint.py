@@ -13,7 +13,7 @@ follow).  Values must be non-negative.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.exceptions import SerializationError
 
@@ -36,17 +36,13 @@ def encode_varint(value: int) -> bytes:
             return bytes(out)
 
 
-def decode_varint(
-    data: bytes, offset: int = 0, max_bits: Optional[int] = 64
-) -> Tuple[int, int]:
+def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
     """Decode one varint from ``data`` starting at ``offset``.
 
     Returns ``(value, next_offset)``.  ``data`` may be any byte buffer
     (``bytes``, ``bytearray``, ``memoryview``) — indexing, not copying, so
-    zero-copy callers can pass mmap slices.  ``max_bits`` bounds the
-    accepted magnitude (64 by default, matching the paper's fixed-width
-    identifiers); pass ``None`` for arbitrary-precision integers (the
-    binary wire protocol, where values mirror JSON's unbounded ints).
+    zero-copy callers can pass mmap slices.  Values above 64 bits are
+    rejected, matching the paper's fixed-width identifiers.
     """
     value = 0
     shift = 0
@@ -60,8 +56,8 @@ def decode_varint(
         if not byte & _CONTINUATION:
             return value, position
         shift += 7
-        if max_bits is not None and shift >= max_bits:
-            raise SerializationError(f"varint too long (more than {max_bits} bits)")
+        if shift >= 64:
+            raise SerializationError("varint too long (more than 64 bits)")
 
 
 def read_stream_varint(handle) -> Tuple[int, bool]:

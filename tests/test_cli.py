@@ -1,10 +1,29 @@
 """Tests for the command-line interface."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import main
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_cli(*args):
+    """Run ``python -m repro`` in a subprocess, as a shell user would."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 @pytest.fixture()
@@ -90,6 +109,21 @@ class TestCount:
             lines = handle.readlines()
         assert lines
         assert all("\t" in line for line in lines)
+
+    def test_missing_input_is_a_clean_error(self, tmp_path):
+        result = run_cli(
+            "count", "--input", str(tmp_path / "missing"), "--tau", "2", "--sigma", "3"
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
+    def test_invalid_tau_is_a_clean_error(self, corpus_dir):
+        result = run_cli("count", "--input", corpus_dir, "--tau", "0", "--sigma", "3")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert "tau" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_maximal_and_closed_conflict(self, corpus_dir, capsys):
         assert (

@@ -178,11 +178,11 @@ class TestServerConfig:
     def test_serving_topology_fields(self):
         from repro.config import ServerConfig
 
-        config = ServerConfig(protocol="http", num_shards=3, shard_index=2)
-        assert (config.protocol, config.num_shards, config.shard_index) == ("http", 3, 2)
-        assert ServerConfig().protocol == "socket"  # the pre-redesign default
-        with pytest.raises(ConfigurationError):
-            ServerConfig(protocol="gopher")
+        config = ServerConfig(num_shards=3, shard_index=2)
+        assert (config.num_shards, config.shard_index) == (3, 2)
+        # The server class picks the transport; the config cannot disagree.
+        with pytest.raises(TypeError):
+            ServerConfig(protocol="http")
         with pytest.raises(ConfigurationError):
             ServerConfig(num_shards=0)
         with pytest.raises(ConfigurationError):

@@ -157,7 +157,7 @@ def topology(store_dir, extra_store_dir):
     http = start(
         NGramStoreHTTPServer(
             store_dir,
-            config=ServerConfig(port=0, protocol="http", extra_store=extra_store_dir),
+            config=ServerConfig(port=0, extra_store=extra_store_dir),
         )
     )
     yield {

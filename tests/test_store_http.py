@@ -46,7 +46,7 @@ def store_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def server(store_dir):
     with NGramStoreHTTPServer(
-        store_dir, config=ServerConfig(port=0, cache_blocks=16, protocol="http")
+        store_dir, config=ServerConfig(port=0, cache_blocks=16)
     ) as running:
         yield running
 
@@ -153,13 +153,13 @@ class TestPostQuery:
         assert body["found"] == [True, False]
         assert body["values"] == [expected[key], None]
 
-    def test_legacy_field_spellings_flagged(self, base_url, expected):
+    def test_legacy_field_spellings_rejected(self, base_url, expected):
+        """Only ``key`` names a key; the old ``ngram`` spelling is an error."""
         key = sorted(expected)[7]
         status, body = self.post(base_url, {"op": "get", "ngram": list(key)})
-        assert status == 200
-        assert body["value"] == expected[key]
-        assert "deprecated" in body
-        assert "'key'" in body["deprecated"]
+        assert status == 400
+        assert body["ok"] is False
+        assert "key" in body["error"]
 
     def test_errors_are_400_not_dead_connections(self, base_url):
         status, body = self.post(base_url, {"op": "frobnicate"})
@@ -377,7 +377,6 @@ class TestHttpObservability:
         log_path = tmp_path / "slow-http.jsonl"
         config = ServerConfig(
             port=0,
-            protocol="http",
             slow_query_ms=0.0,
             slow_query_log=str(log_path),
         )
@@ -403,7 +402,7 @@ class TestHttpObservability:
         router = ShardRouter(
             [ShardView(store, index, 2) for index, store in enumerate(stores)]
         )
-        config = ServerConfig(port=0, protocol="http")
+        config = ServerConfig(port=0)
         with NGramStoreHTTPServer(router, config=config) as gateway:
             base = f"http://{gateway.host}:{gateway.port}"
             status, body = http_get(f"{base}/top_k?k=5")

@@ -356,7 +356,7 @@ def topology(lsm_pipeline):
         for index in range(3)
     ]
     http = start(
-        NGramStoreHTTPServer(store.root, config=ServerConfig(port=0, protocol="http"))
+        NGramStoreHTTPServer(store.root, config=ServerConfig(port=0))
     )
     yield {
         "socket": (socket_a.host, socket_a.port),

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import pytest
 
@@ -18,12 +19,17 @@ from repro.config import ServerConfig, StoreConfig
 from repro.exceptions import StoreConnectionError, StoreError
 from repro.ngramstore import (
     BlockCache,
+    HttpStoreClient,
     NGramStore,
+    NGramStoreHTTPServer,
     NGramStoreServer,
     StoreClient,
     build_store,
 )
-from repro.ngramstore.server import ServerMetrics, percentile
+from repro.ngramstore.server import MAX_REQUEST_BYTES, ServerMetrics, percentile
+
+#: The opening line of the retired binary protocol's clients.
+RETIRED_BINARY_MAGIC = bytes.fromhex("4e4757495245310a")
 
 
 def make_records(count=600, seed=13, max_term=50, max_len=4):
@@ -57,6 +63,19 @@ def server(store_dir):
 @pytest.fixture()
 def expected():
     return dict(make_records())
+
+
+@contextmanager
+def serving(store_dir, transport, config):
+    """A client of a fresh socket or HTTP server over ``store_dir``."""
+    if transport == "http":
+        with NGramStoreHTTPServer(store_dir, config=config) as running:
+            with HttpStoreClient(f"http://{running.host}:{running.port}") as client:
+                yield client
+    else:
+        with NGramStoreServer(store_dir, config=config) as running:
+            with StoreClient(running.host, running.port) as client:
+                yield client
 
 
 class TestProtocol:
@@ -103,13 +122,13 @@ class TestProtocol:
             with pytest.raises(StoreError, match="unknown op"):
                 client._call({"op": "frobnicate"})
             with pytest.raises(StoreError, match="JSON array"):
-                client._call({"op": "get", "ngram": "not-a-list"})
+                client._call({"op": "get", "key": "not-a-list"})
             with pytest.raises(StoreError, match="k must be"):
                 client.top_k(0)
             with pytest.raises(StoreError, match="order"):
                 client.top_k(3, order="bogus")
             with pytest.raises(StoreError, match="limit"):
-                client._call({"op": "prefix", "tokens": [1], "limit": -4})
+                client._call({"op": "prefix", "key": [1], "limit": -4})
             # The connection survived every error above.
             assert client.ping()
 
@@ -118,6 +137,49 @@ class TestProtocol:
             raw.sendall(b"this is not json\n")
             response = json.loads(raw.makefile("rb").readline())
             assert response["ok"] is False
+
+    def test_retired_binary_magic_gets_in_stream_error(self, server, expected):
+        """A stale client of the retired binary protocol opens with its
+        magic line: it gets one typed error line, not a hang, and the same
+        connection then serves newline-JSON requests."""
+        key = sorted(expected)[0]
+        with socket.create_connection((server.host, server.port), timeout=10) as raw:
+            reader = raw.makefile("rb")
+            raw.sendall(RETIRED_BINARY_MAGIC)
+            response = json.loads(reader.readline())
+            assert response["ok"] is False
+            assert "not valid JSON" in response["error"]
+            raw.sendall(json.dumps({"op": "get", "key": list(key)}).encode() + b"\n")
+            response = json.loads(reader.readline())
+            assert response == {"ok": True, "found": True, "value": expected[key]}
+
+    def test_oversized_request_line_rejected(self, server):
+        with socket.create_connection((server.host, server.port), timeout=10) as raw:
+            reader = raw.makefile("rb")
+            raw.sendall(b"x" * (MAX_REQUEST_BYTES + 1))
+            response = json.loads(reader.readline())
+            assert response["ok"] is False
+            assert "exceeds" in response["error"]
+            assert reader.read() == b""  # the stream is closed after it
+
+    def test_batched_ops_match_direct_store(self, server, store_dir, expected):
+        with NGramStore.open(store_dir) as direct:
+            with StoreClient(server.host, server.port) as client:
+                keys = sorted(expected)[::23] + [(9999,)]
+                assert client.multi_get(keys) == [direct.get(key) for key in keys]
+                terms = sorted({key[0] for key in expected})[:3]
+                prefixes = [(term,) for term in terms]
+                assert client.multi_prefix(prefixes) == [
+                    list(direct.prefix(prefix)) for prefix in prefixes
+                ]
+
+    def test_multi_prefix_validation(self, server):
+        with StoreClient(server.host, server.port) as client:
+            assert client.multi_prefix([]) == []
+            with pytest.raises(StoreError, match="JSON array"):
+                client._call({"op": "multi_prefix", "keys": "nope"})
+            with pytest.raises(StoreError, match="limit"):
+                client._call({"op": "multi_prefix", "keys": [[1]], "limit": -2})
 
     def test_errors_counted_in_metrics(self, server):
         with StoreClient(server.host, server.port) as client:
@@ -496,27 +558,16 @@ class TestServeCLI:
 
 
 class TestCompatShims:
-    """The pre-redesign surfaces still work — with a warning, not a break."""
+    """Records stay tuple-compatible; retired request spellings are errors."""
 
-    def test_legacy_request_fields_served_with_note(self, server, expected):
+    def test_legacy_request_fields_rejected(self, server, expected):
         key = sorted(expected)[0]
         with StoreClient(server.host, server.port) as client:
-            response = client._call({"op": "get", "ngram": list(key)})
-            assert response["value"] == expected[key]
-            assert "'ngram' is deprecated" in response["deprecated"]
-            response = client._call({"op": "prefix", "tokens": list(key[:1]), "limit": 1})
-            assert len(response["records"]) == 1
-            assert "'tokens' is deprecated" in response["deprecated"]
-            # Canonical spellings carry no note.
-            assert "deprecated" not in client._call({"op": "get", "key": list(key)})
-
-    def test_timeout_kwarg_deprecated_but_honoured(self, server):
-        with pytest.warns(DeprecationWarning, match="connect_timeout"):
-            client = StoreClient(server.host, server.port, timeout=7.5)
-        with client:
-            assert client.connect_timeout == 7.5
-            assert client.read_timeout == 7.5
-            assert client.ping()
+            # The unified schema names a key "key"; the pre-redesign
+            # "ngram" spelling is a clean, typed error naming that field.
+            with pytest.raises(StoreError, match="key must be"):
+                client._call({"op": "get", "ngram": list(key)})
+            assert client.get(key) == expected[key]  # the connection lives on
 
     def test_records_unpack_like_plain_tuples(self, server, store_dir):
         """Old callers that unpack (key, value) tuples keep working."""
@@ -592,113 +643,6 @@ class TestClientResilience:
             survivor.close()
 
 
-class TestBinaryProtocol:
-    """Negotiation, the protocol matrix, and hostile binary frames."""
-
-    @pytest.mark.parametrize("protocol", ["auto", "binary", "json"])
-    def test_protocol_matrix_answers_identically(self, server, store_dir, expected, protocol):
-        """The acceptance bar: results byte-identical across protocols."""
-        with NGramStore.open(store_dir) as direct:
-            with StoreClient(server.host, server.port, protocol=protocol) as client:
-                assert client.negotiated_protocol == (
-                    "json" if protocol == "json" else "binary"
-                )
-                keys = sorted(expected)[::23] + [(9999,)]
-                assert [client.get(key) for key in keys] == [
-                    direct.get(key) for key in keys
-                ]
-                assert client.multi_get(keys) == [direct.get(key) for key in keys]
-                terms = sorted({key[0] for key in expected})[:3]
-                prefixes = [(term,) for term in terms]
-                assert client.multi_prefix(prefixes) == [
-                    list(direct.prefix(prefix)) for prefix in prefixes
-                ]
-                assert client.prefix(prefixes[0]) == list(direct.prefix(prefixes[0]))
-                assert client.top_k(10) == direct.top_k(10)
-                assert client.top_k(10, order="key") == direct.top_k(10, order="key")
-                assert client.stats() == direct.stats()
-                assert client.ping()
-
-    def test_auto_client_falls_back_on_json_only_server(self, store_dir, expected):
-        """Old deployments pin binary=False; new clients must still work."""
-        with NGramStoreServer(
-            store_dir, config=ServerConfig(port=0, binary=False)
-        ) as legacy:
-            key = sorted(expected)[0]
-            with StoreClient(legacy.host, legacy.port) as client:
-                assert client.negotiated_protocol == "json"
-                assert client.get(key) == expected[key]
-                assert client.ping()
-            with pytest.raises(StoreConnectionError, match="binary protocol"):
-                StoreClient(legacy.host, legacy.port, protocol="binary")
-
-    def test_binary_errors_answered_in_stream(self, server):
-        """Decodable-but-invalid requests keep the connection alive."""
-        with StoreClient(server.host, server.port, protocol="binary") as client:
-            with pytest.raises(StoreError, match="unknown op"):
-                client._call({"op": "frobnicate"})
-            with pytest.raises(StoreError, match="k must be"):
-                client.top_k(0)
-            assert client.ping()  # the connection survived both errors
-
-    def test_truncated_frame_closes_connection_not_server(self, server, expected):
-        """A chopped frame is answered with an error, then the stream dies."""
-        from repro.ngramstore.wire import WIRE_MAGIC, encode_message, read_message
-
-        with socket.create_connection((server.host, server.port), timeout=10) as raw:
-            reader = raw.makefile("rb")
-            raw.sendall(WIRE_MAGIC + b"\n")
-            assert read_message(reader)["protocol"] == "binary"
-            # A frame that claims more bytes than will ever arrive.
-            raw.sendall(encode_message({"op": "ping"})[:-2])
-            raw.shutdown(socket.SHUT_WR)
-            error = read_message(reader)
-            assert error["ok"] is False
-            assert reader.read() == b""  # server closed the stream after it
-        # The server itself survived and serves fresh connections.
-        with StoreClient(server.host, server.port) as client:
-            key = sorted(expected)[0]
-            assert client.get(key) == expected[key]
-
-    def test_oversized_frame_rejected(self, server):
-        from repro.ngramstore.server import MAX_REQUEST_BYTES
-        from repro.ngramstore.wire import WIRE_MAGIC, read_message
-        from repro.util.varint import encode_varint
-
-        with socket.create_connection((server.host, server.port), timeout=10) as raw:
-            reader = raw.makefile("rb")
-            raw.sendall(WIRE_MAGIC + b"\n")
-            assert read_message(reader)["protocol"] == "binary"
-            raw.sendall(encode_varint(MAX_REQUEST_BYTES + 1))
-            error = read_message(reader)
-            assert error["ok"] is False
-            assert "exceeds" in error["error"]
-
-    def test_binary_client_reconnects_after_drop(self, server, expected):
-        """The resilience path re-negotiates the protocol on reconnect."""
-        key = sorted(expected)[0]
-        with StoreClient(server.host, server.port, protocol="binary") as client:
-            assert client.get(key) == expected[key]
-            with server._connections_lock:
-                connections = list(server._connections)
-            for connection in connections:
-                connection.shutdown(socket.SHUT_RDWR)
-            assert client.get(key) == expected[key]
-            assert client.negotiated_protocol == "binary"
-
-    def test_multi_prefix_validation(self, server):
-        with StoreClient(server.host, server.port) as client:
-            assert client.multi_prefix([]) == []
-            with pytest.raises(StoreError, match="JSON array"):
-                client._call({"op": "multi_prefix", "keys": "nope"})
-            with pytest.raises(StoreError, match="limit"):
-                client._call({"op": "multi_prefix", "keys": [[1]], "limit": -2})
-
-    def test_invalid_protocol_argument(self, server):
-        with pytest.raises(StoreError, match="protocol"):
-            StoreClient(server.host, server.port, protocol="carrier-pigeon")
-
-
 class TestMetricsHelpers:
     def test_percentile_nearest_rank(self):
         samples = [1.0, 2.0, 3.0, 4.0]
@@ -751,9 +695,9 @@ class TestMetricsHelpers:
 class TestObservability:
     """/metrics exposition and the trace-carrying slow-query log."""
 
-    @pytest.mark.parametrize("protocol", ["binary", "json"])
-    def test_metrics_op_returns_prometheus_text(self, server, protocol):
-        with StoreClient(server.host, server.port, protocol=protocol) as client:
+    @pytest.mark.parametrize("transport", ["socket", "http"])
+    def test_metrics_op_returns_prometheus_text(self, store_dir, transport):
+        with serving(store_dir, transport, ServerConfig(port=0)) as client:
             client.top_k(3)
             client.get((1, 2))
             text = client.metrics_text()
@@ -762,26 +706,23 @@ class TestObservability:
         assert "ngramstore_request_seconds_bucket" in text
         assert 'ngramstore_io_events{event="blocks_decoded"}' in text
         assert 'ngramstore_block_cache_events{event="hits"}' in text
-        assert "ngramstore_active_connections" in text
+        if transport == "socket":  # HTTP does not track open connections
+            assert "ngramstore_active_connections" in text
 
-    @pytest.mark.parametrize("protocol", ["binary", "json"])
-    def test_slow_log_trace_id_matches_client(self, store_dir, tmp_path, protocol):
+    @pytest.mark.parametrize("transport", ["socket", "http"])
+    def test_slow_log_trace_id_matches_client(self, store_dir, tmp_path, transport):
         """The acceptance path: a slow query's log line carries the same
-        trace ID the client minted, over both wire protocols."""
-        log_path = tmp_path / "logs" / f"slow-{protocol}.jsonl"
+        trace ID the client minted, over both transports."""
+        log_path = tmp_path / "logs" / f"slow-{transport}.jsonl"
         config = ServerConfig(
             port=0,
             cache_blocks=8,
             slow_query_ms=0.0,  # log everything
             slow_query_log=str(log_path),
         )
-        with NGramStoreServer(store_dir, config=config) as running:
-            with StoreClient(
-                running.host, running.port, protocol=protocol
-            ) as client:
-                assert client.negotiated_protocol == protocol
-                client.get((1, 2))
-                trace_id = client.last_trace_id
+        with serving(store_dir, transport, config) as client:
+            client.get((1, 2))
+            trace_id = client.last_trace_id
         assert trace_id
         entries = [
             json.loads(line)
