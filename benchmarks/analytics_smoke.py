@@ -258,18 +258,11 @@ def main():
         )
         compare_shared = expected_intersect[0][0]
         compare_only_a = expected_diff[0][0]
-        prefix_terms = [term_for(term_id) for term_id in prefix_key]
-        shared_terms = [term_for(term_id) for term_id in compare_shared]
         probes = [
             (
                 "complete",
                 f"/complete?key={','.join(map(str, prefix_key))}&k=5",
                 {"op": "complete", "key": list(prefix_key), "k": 5},
-            ),
-            (
-                "complete-terms",
-                "/complete?terms=" + ",".join(prefix_terms) + "&k=5",
-                {"op": "complete", "terms": prefix_terms, "k": 5},
             ),
             (
                 "compare-shared",
@@ -280,11 +273,6 @@ def main():
                 "compare-diff",
                 f"/compare?key={','.join(map(str, compare_only_a))}",
                 {"op": "compare", "key": list(compare_only_a)},
-            ),
-            (
-                "compare-terms",
-                "/compare?terms=" + ",".join(shared_terms),
-                {"op": "compare", "terms": shared_terms},
             ),
         ]
         offline = {label: engine.handle(request) for label, _, request in probes}

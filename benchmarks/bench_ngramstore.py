@@ -289,7 +289,6 @@ def _bench_batching(records, store_dir, batch=64, repeats=30):
             lambda: [client.get(key) for key in batch_keys], repeats
         ) / len(batch_keys)
         batch_us = _time_us(lambda: client.multi_get(batch_keys), repeats)
-        multi_prefix_us = _time_us(lambda: client.multi_prefix(prefix_batch), repeats)
         sequential_prefix_us = _time_us(
             lambda: [client.prefix(prefix) for prefix in prefix_batch], repeats
         )
@@ -298,7 +297,6 @@ def _bench_batching(records, store_dir, batch=64, repeats=30):
         "point_requests_per_s": round(1e6 / point_us),
         "multi_get_batch_us": batch_us,
         "multi_get_us_per_key": round(batch_us / len(batch_keys), 2),
-        "multi_prefix_batch_us": multi_prefix_us,
         "sequential_prefix_us": sequential_prefix_us,
         "batch_size": batch,
         # The headline number: one batched round trip for N keys versus N
@@ -329,7 +327,7 @@ def _bench_serving_fast_path():
         assert legacy.io_stats()["bloom_rejections"] == 0
 
     return {
-        "schema_version": 2,
+        "schema_version": 3,
         "store": {
             "num_records": len(records),
             "num_partitions": config.num_partitions,

@@ -128,7 +128,7 @@ def client_workload(client_factory, seed, keys, expected, reference_top, request
             assert value == expected[key], f"get({key!r}) = {value!r} != {expected[key]!r}"
         assert client.get((10**9,)) is None
 
-        # The batched ops: one round-trip each, answers identical to the
+        # The batched op: one round-trip, answers identical to the
         # equivalent single-key calls.
         batch = [rng.choice(keys) for _ in range(32)] + [(10**9,)]
         started = time.perf_counter()
@@ -144,10 +144,6 @@ def client_workload(client_factory, seed, keys, expected, reference_top, request
             record for record in sorted(expected.items()) if record[0][0] == term
         ]
         assert prefix_result == reference_prefix, f"prefix(({term},)) diverged"
-        assert client.multi_prefix([(term,), (10**9,)]) == [
-            reference_prefix,
-            [],
-        ], "multi_prefix diverged"
 
         started = time.perf_counter()
         top = client.top_k(10)

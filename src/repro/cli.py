@@ -892,10 +892,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
         )
         api = open_store_auto(args.store, cache_blocks=cache_blocks)
     # One code path for local stores and both remote transports: everything
-    # below speaks StoreAPI.  With a persisted vocabulary the term-keyed
-    # operations run wherever the dictionary lives (server-side for
-    # remotes — clients never download it); --ids (or a vocabulary-less
-    # store) falls back to raw keys.
+    # below speaks StoreAPI.  With a persisted vocabulary, terms are
+    # translated to ids and results rendered back wherever the dictionary
+    # lives (server-side for remotes — clients never download it); --ids
+    # (or a vocabulary-less store) falls back to raw keys.
     with api:
         stats = api.stats()
         use_terms = (not args.ids) and bool(stats.get("has_vocabulary"))
@@ -910,6 +910,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
         def render(ngram: tuple) -> str:
             return " ".join(str(term) for term in ngram)
+
+        def surface(records: List[tuple]) -> List[tuple]:
+            """Records with their id keys rendered as surface-term tuples."""
+            rendered = api.render_ngrams([ngram for ngram, _ in records])
+            return [(terms, value) for terms, (_, value) in zip(rendered, records)]
 
         def render_value(value: object) -> str:
             # Stores hold counts in the common case, but build_store accepts
@@ -930,12 +935,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
         if args.get is not None:
             tokens = args.get.split()
             if use_terms:
-                frequency = api.get_terms(tokens)
+                (ngram,) = api.translate_terms([tokens])
                 rendered = " ".join(tokens)
             else:
                 ngram = encode(tokens)
-                frequency = api.get(ngram)
                 rendered = render(ngram)
+            frequency = None if ngram is None else api.get(ngram)
             if frequency is None:
                 print(f"not found: {args.get}")
                 return 1
@@ -943,7 +948,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         elif args.prefix is not None:
             tokens = args.prefix.split()
             if use_terms:
-                records = api.prefix_terms(tokens, limit=args.limit)
+                (key,) = api.translate_terms([tokens])
+                records = [] if key is None else surface(list(api.prefix(key, limit=args.limit)))
             else:
                 records = api.prefix(encode(tokens), limit=args.limit)
             matches = 0
@@ -952,10 +958,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 matches += 1
             print(f"{matches} n-grams with prefix {args.prefix!r}")
         else:
+            records = api.top_k(args.top_k, order=args.order)
             if use_terms:
-                records = api.top_k_terms(args.top_k, order=args.order)
-            else:
-                records = api.top_k(args.top_k, order=args.order)
+                records = surface(records)
             for ngram, frequency in records:
                 print(f"{render_value(frequency)}  {render(ngram)}")
     return 0

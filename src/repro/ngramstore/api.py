@@ -14,39 +14,44 @@ is the one contract they all implement now:
 * ``compare`` — point diff/intersect lookup across the served store and a
   second *comparison* store mounted server-side (``serve --extra-store``);
 * ``stats`` — store metadata (record/partition counts, vocabulary flag);
-* ``close`` + context-manager lifecycle;
-* surface-term variants (``get_terms`` / ``multi_get_terms`` /
-  ``prefix_terms`` / ``top_k_terms``) backed by the store's *persisted*
-  dictionary — translation happens wherever the dictionary lives (the
-  server, for remote implementations), so clients never download it.
+* ``translate_terms`` / ``render_ngrams`` — the only term-keyed surface:
+  surface-term tuples to key tuples and back, against the store's
+  *persisted* dictionary — translation happens wherever the dictionary
+  lives (the server, for remote implementations), so clients never
+  download it.  A term-keyed query is the composition translate → id
+  operation → render;
+* ``close`` + context-manager lifecycle.
 
 The canonical result shape is :class:`NGramRecord` — a ``(ngram, value)``
-named tuple, where ``ngram`` is a tuple of term identifiers (or of surface
-term strings for the ``*_terms`` variants).  Being a tuple subclass it
-compares equal to the plain ``(key, value)`` tuples the pre-redesign
-``StoreClient`` returned, so downstream callers migrate without breaking;
-the conformance suite asserts byte-identical results across every
-implementation: the local :class:`~repro.ngramstore.reader.NGramStore`,
-the socket :class:`~repro.ngramstore.server.StoreClient`, the
+named tuple, where ``ngram`` is a tuple of term identifiers.  Being a
+tuple subclass it compares equal to the plain ``(key, value)`` tuples the
+pre-redesign ``StoreClient`` returned, so downstream callers migrate
+without breaking; the conformance suite asserts byte-identical results
+across every implementation: the local
+:class:`~repro.ngramstore.reader.NGramStore`, the socket
+:class:`~repro.ngramstore.server.StoreClient`, the
 :class:`~repro.ngramstore.router.ReplicaPool`, the range-sharded
 :class:`~repro.ngramstore.router.ShardRouter`, and the
 :class:`~repro.ngramstore.http.HttpStoreClient`.
 
 :class:`QueryEngine` is the transport-independent server half: it maps one
 request object of the unified wire schema (shared verbatim by the TCP
-socket protocol and the HTTP adapter) to one response object, enforcing
-the server-side result caps.  Keys are spelled ``key`` (one) or ``keys``
-(a batch) in every operation; any other spelling is an error naming the
-field.
+socket protocol and the HTTP adapter) to one response object through one
+``{op: handler}`` table, enforcing the server-side result caps.  Keys are
+spelled ``key`` (one) or ``keys`` (a batch) in every operation; any other
+spelling is an error naming the field.  :data:`OPERATIONS` (the metrics
+buckets) and :data:`READ_OPERATIONS` (the operations worth per-request
+I/O accounting) are derived from that table.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.exceptions import StoreError, VocabularyError
-from repro.ngramstore.table import TOP_K_ORDERS, validate_top_k
+from repro.ngramstore.table import TOP_K_ORDERS, prefix_records, validate_top_k
 
 _MISSING = object()
 
@@ -54,8 +59,7 @@ _MISSING = object()
 class NGramRecord(NamedTuple):
     """Canonical ``(ngram, value)`` result record of every ``StoreAPI``.
 
-    ``ngram`` is a tuple of term identifiers — or of surface term strings
-    when produced by a ``*_terms`` operation.  As a tuple subclass it is
+    ``ngram`` is a tuple of term identifiers.  As a tuple subclass it is
     equal to (and unpacks like) the bare 2-tuples older call sites expect.
     """
 
@@ -69,12 +73,13 @@ Record = NGramRecord
 class Completion(NamedTuple):
     """One ``complete`` result: a continuation token and its frequency.
 
-    ``token`` is a term identifier — or a surface term string when produced
-    by ``complete_terms``.  Tuple-compatible, like :class:`NGramRecord`.
+    ``token`` is a term identifier.  Tuple-compatible, like
+    :class:`NGramRecord`.
     """
 
     token: Any
     value: Any
+
 
 #: Server-side result caps: a single response is one JSON payload held in
 #: memory, so unbounded prefix scans (or absurd k / batch sizes) must not
@@ -88,22 +93,6 @@ MAX_BATCH_KEYS = 10_000
 #: Default result size of the ``complete`` operation.
 DEFAULT_COMPLETE_K = 5
 
-#: Operations of the unified wire protocol (also the metrics buckets).
-OPERATIONS = (
-    "get",
-    "multi_get",
-    "prefix",
-    "multi_prefix",
-    "top_k",
-    "complete",
-    "compare",
-    "translate",
-    "render",
-    "stats",
-    "server_stats",
-    "metrics",
-    "ping",
-)
 
 def validate_complete_k(k: Any) -> int:
     """Validate a ``complete`` result size: a positive int within the cap."""
@@ -112,6 +101,75 @@ def validate_complete_k(k: Any) -> int:
     if k > MAX_TOP_K:
         raise StoreError(f"complete k must be <= {MAX_TOP_K}, got {k}")
     return k
+
+
+def validate_limit(limit: Any) -> Optional[int]:
+    """Validate a prefix limit: ``None`` (uncapped) or a non-negative int.
+
+    Booleans are refused although ``bool`` subclasses ``int``: a JSON
+    ``true`` is not a record count.
+    """
+    if limit is not None and (
+        not isinstance(limit, int) or isinstance(limit, bool) or limit < 0
+    ):
+        raise StoreError(f"prefix limit must be a non-negative integer, got {limit!r}")
+    return limit
+
+
+def prefix_scan(scan: Callable[..., Any], tokens: Iterable[Any], limit: Optional[int]) -> Iterator[Record]:
+    """The records of ``scan`` whose key starts with ``tokens``, lazily.
+
+    The ``prefix`` implementation every local store shares: ``limit`` is
+    validated eagerly (at call time, not on first iteration), then caps
+    how many records are yielded.
+    """
+    records = prefix_records(scan, tuple(tokens))
+    if validate_limit(limit) is not None:
+        records = islice(records, limit)
+    return (NGramRecord(key, value) for key, value in records)
+
+
+def _require_vocabulary(store: Any) -> Any:
+    vocabulary = store.vocabulary
+    if vocabulary is None:
+        raise StoreError(
+            f"store {store.store_dir!r} has no persisted vocabulary; "
+            "term-keyed operations need a store counted from an encoded collection"
+        )
+    return vocabulary
+
+
+def vocabulary_translate(store: Any, items: Iterable[Sequence[str]]) -> List[Optional[Tuple]]:
+    """Surface-term tuples -> term-id keys via ``store.vocabulary``.
+
+    ``None`` where any term is unknown: the corpus simply never produced
+    it, so the n-gram is absent — a normal query outcome, not an error.
+    Shared by every store that holds a dictionary; a store without one
+    raises :class:`StoreError`.
+    """
+    vocabulary = _require_vocabulary(store)
+    keys: List[Optional[Tuple]] = []
+    for terms in items:
+        try:
+            keys.append(tuple(vocabulary.term_id(term) for term in terms))
+        except VocabularyError:
+            keys.append(None)
+    return keys
+
+
+def vocabulary_render(store: Any, ngrams: Iterable[Sequence[Any]]) -> List[Tuple[str, ...]]:
+    """Term-id keys -> surface-term tuples via ``store.vocabulary``.
+
+    An id the dictionary does not know is a :class:`StoreError`, the same
+    error type every remote implementation raises for it.
+    """
+    vocabulary = _require_vocabulary(store)
+    try:
+        return [
+            tuple(vocabulary.term(term_id) for term_id in ngram) for ngram in ngrams
+        ]
+    except VocabularyError as error:
+        raise StoreError(f"{error}") from error
 
 
 def complete_scan(
@@ -153,8 +211,8 @@ def complete_scan(
 def ensure_comparable_vocabulary(primary: Any, extra: Any) -> None:
     """Refuse mounting a comparison store whose vocabulary differs.
 
-    ``compare`` translates surface terms against the *primary* store's
-    dictionary and looks the resulting ids up in both stores, which is only
+    ``compare`` looks one id key up in both stores, and clients translate
+    surface terms against the *primary* store's dictionary, which is only
     meaningful when both were encoded against the same dictionary.  Stores
     without a persisted vocabulary are trusted (id-keyed deployments manage
     agreement themselves).
@@ -176,10 +234,10 @@ class StoreAPI:
 
     Core operations (``get`` / ``prefix`` / ``top_k`` / ``stats`` /
     ``translate_terms`` / ``render_ngrams`` / ``close``) are provided by
-    each implementation; the surface-term variants and ``multi_get`` have
-    default compositions here so semantics cannot diverge — remote
-    implementations override them only to fuse the same composition into a
-    single round trip.
+    each implementation; ``multi_get`` and ``complete`` have default
+    compositions here so semantics cannot diverge — remote implementations
+    override them only to fuse the same composition into a single round
+    trip.
     """
 
     # ------------------------------------------------------ core contract
@@ -220,53 +278,6 @@ class StoreAPI:
         """Values for ``ngrams`` in order (``default`` where absent)."""
         return [self.get(ngram, default) for ngram in ngrams]
 
-    def multi_prefix(
-        self, prefixes: Sequence[Iterable[Any]], limit: Optional[int] = None
-    ) -> List[List[Record]]:
-        """One prefix scan per entry of ``prefixes``, order-aligned.
-
-        Each result list is exactly ``list(self.prefix(p, limit=limit))``;
-        remote implementations fuse the batch into a single round trip.
-        """
-        return [list(self.prefix(prefix, limit=limit)) for prefix in prefixes]
-
-    def get_terms(self, terms: Sequence[str], default: Any = None) -> Any:
-        """Point lookup keyed by surface terms; unknown terms are absent."""
-        (key,) = self.translate_terms([tuple(terms)])
-        if key is None:
-            return default
-        return self.get(key, default)
-
-    def multi_get_terms(
-        self, items: Sequence[Sequence[str]], default: Any = None
-    ) -> List[Any]:
-        """Batched surface-term lookups, order-aligned with ``items``."""
-        keys = self.translate_terms([tuple(item) for item in items])
-        known = [key for key in keys if key is not None]
-        values = iter(self.multi_get(known, default))
-        return [default if key is None else next(values) for key in keys]
-
-    def prefix_terms(
-        self, terms: Sequence[str], limit: Optional[int] = None
-    ) -> List[Record]:
-        """Prefix scan keyed and rendered in surface terms."""
-        (key,) = self.translate_terms([tuple(terms)])
-        if key is None:
-            return []
-        records = list(self.prefix(key, limit=limit))
-        rendered = self.render_ngrams([record[0] for record in records])
-        return [
-            NGramRecord(surface, record[1]) for surface, record in zip(rendered, records)
-        ]
-
-    def top_k_terms(self, k: int, order: str = "frequency") -> List[Record]:
-        """Top-k with keys rendered as surface terms."""
-        records = self.top_k(k, order)
-        rendered = self.render_ngrams([record[0] for record in records])
-        return [
-            NGramRecord(surface, record[1]) for surface, record in zip(rendered, records)
-        ]
-
     def complete(self, ngram: Iterable[Any], k: int = DEFAULT_COMPLETE_K) -> List[Completion]:
         """The ``k`` best single-token continuations of ``ngram``.
 
@@ -278,25 +289,6 @@ class StoreAPI:
         key = tuple(ngram)
         completions, _ = complete_scan(self.prefix(key), len(key), validate_complete_k(k))
         return completions
-
-    def complete_terms(
-        self, terms: Sequence[str], k: int = DEFAULT_COMPLETE_K
-    ) -> List[Completion]:
-        """Completions keyed and rendered in surface terms.
-
-        Unknown prefix terms mean nothing can continue them: the result is
-        empty, not an error.  Ranking happens in id space (before
-        rendering), so the order matches the id-keyed ``complete`` exactly.
-        """
-        (key,) = self.translate_terms([tuple(terms)])
-        if key is None:
-            return []
-        completions = self.complete(key, k)
-        rendered = self.render_ngrams([(completion.token,) for completion in completions])
-        return [
-            Completion(surface[0], completion.value)
-            for surface, completion in zip(rendered, completions)
-        ]
 
     def ping(self) -> bool:
         """Liveness probe; local implementations are trivially alive."""
@@ -316,9 +308,8 @@ class RemoteStore(StoreAPI):
     Subclasses (the socket :class:`~repro.ngramstore.server.StoreClient`
     and the :class:`~repro.ngramstore.http.HttpStoreClient`) provide only
     ``_call`` (one unified-schema request dict -> the response dict) and
-    ``close``; everything else — including the surface-term variants,
-    which run server-side in a single round trip — lives here, so the two
-    transports cannot drift apart.
+    ``close``; everything else lives here, so the two transports cannot
+    drift apart.
     """
 
     def _call(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -338,9 +329,8 @@ class RemoteStore(StoreAPI):
             for found, value in zip(response["found"], response["values"])
         ]
 
-    def _prefix_records(
-        self, request: Dict[str, Any], limit: Optional[int], key_shape
-    ) -> List[Record]:
+    def prefix(self, tokens: Iterable[Any], limit: Optional[int] = None) -> List[Record]:
+        request: Dict[str, Any] = {"op": "prefix", "key": list(tokens)}
         if limit is not None:
             request["limit"] = limit
         response = self._call(request)
@@ -353,33 +343,7 @@ class RemoteStore(StoreAPI):
                 f"prefix result truncated at the server cap ({MAX_PREFIX_RECORDS} "
                 "records); pass a limit at or below the cap, or export offline"
             )
-        return [NGramRecord(key_shape(key), value) for key, value in records]
-
-    def prefix(self, tokens: Iterable[Any], limit: Optional[int] = None) -> List[Record]:
-        return self._prefix_records(
-            {"op": "prefix", "key": list(tokens)}, limit, tuple
-        )
-
-    def multi_prefix(
-        self, prefixes: Sequence[Iterable[Any]], limit: Optional[int] = None
-    ) -> List[List[Record]]:
-        request: Dict[str, Any] = {
-            "op": "multi_prefix",
-            "keys": [list(prefix) for prefix in prefixes],
-        }
-        if limit is not None:
-            request["limit"] = limit
-        response = self._call(request)
-        results: List[List[Record]] = []
-        for result in response["results"]:
-            records = result["records"]
-            if result.get("truncated") and (limit is None or len(records) < limit):
-                raise StoreError(
-                    f"prefix result truncated at the server cap ({MAX_PREFIX_RECORDS} "
-                    "records); pass a limit at or below the cap, or export offline"
-                )
-            results.append([NGramRecord(tuple(key), value) for key, value in records])
-        return results
+        return [NGramRecord(tuple(key), value) for key, value in records]
 
     def top_k(self, k: int, order: str = "frequency") -> List[Record]:
         response = self._call({"op": "top_k", "k": k, "order": order})
@@ -412,43 +376,9 @@ class RemoteStore(StoreAPI):
         response = self._call({"op": "render", "ngrams": [list(ngram) for ngram in ngrams]})
         return [tuple(terms) for terms in response["terms"]]
 
-    def get_terms(self, terms: Sequence[str], default: Any = None) -> Any:
-        response = self._call({"op": "get", "terms": list(terms)})
-        return response["value"] if response["found"] else default
-
-    def multi_get_terms(
-        self, items: Sequence[Sequence[str]], default: Any = None
-    ) -> List[Any]:
-        response = self._call(
-            {"op": "multi_get", "terms": [list(item) for item in items]}
-        )
-        return [
-            value if found else default
-            for found, value in zip(response["found"], response["values"])
-        ]
-
-    def prefix_terms(
-        self, terms: Sequence[str], limit: Optional[int] = None
-    ) -> List[Record]:
-        return self._prefix_records(
-            {"op": "prefix", "terms": list(terms)},
-            limit,
-            lambda key: tuple(key),
-        )
-
-    def top_k_terms(self, k: int, order: str = "frequency") -> List[Record]:
-        response = self._call({"op": "top_k", "k": k, "order": order, "surface": True})
-        return [NGramRecord(tuple(key), value) for key, value in response["records"]]
-
     # --------------------------------------------------- analytics serving
     def complete(self, ngram: Iterable[Any], k: int = DEFAULT_COMPLETE_K) -> List[Completion]:
         response = self._call({"op": "complete", "key": list(ngram), "k": k})
-        return [Completion(token, value) for token, value in response["completions"]]
-
-    def complete_terms(
-        self, terms: Sequence[str], k: int = DEFAULT_COMPLETE_K
-    ) -> List[Completion]:
-        response = self._call({"op": "complete", "terms": list(terms), "k": k})
         return [Completion(token, value) for token, value in response["completions"]]
 
     def compare(self, ngram: Iterable[Any]) -> Dict[str, Any]:
@@ -460,27 +390,36 @@ class RemoteStore(StoreAPI):
         """
         return self._strip_envelope(self._call({"op": "compare", "key": list(ngram)}))
 
-    def compare_terms(self, terms: Sequence[str]) -> Dict[str, Any]:
-        return self._strip_envelope(self._call({"op": "compare", "terms": list(terms)}))
 
-
-def _validated_terms_batch(data: Any, field: str) -> List[Tuple[str, ...]]:
-    if not isinstance(data, list):
-        raise StoreError(f"{field} must be a JSON array of term arrays")
-    batch = []
-    for item in data:
-        if not isinstance(item, list) or not all(isinstance(term, str) for term in item):
-            raise StoreError(f"each {field} entry must be a JSON array of strings")
-        batch.append(tuple(item))
-    return batch
-
-
-def _json_key(data: Any, field: str = "key") -> Tuple:
+def _validated_key(data: Any, field: str) -> Tuple:
     if not isinstance(data, list):
         raise StoreError(
             f"{field} must be a JSON array of terms, got {type(data).__name__}"
         )
     return tuple(data)
+
+
+def _validated_terms(data: Any, field: str) -> Tuple[str, ...]:
+    if not isinstance(data, list) or not all(isinstance(term, str) for term in data):
+        raise StoreError(f"{field} must be a JSON array of strings")
+    return tuple(data)
+
+
+def _validated_batch(
+    request: Dict[str, Any],
+    field: str,
+    operation: str,
+    entry: Callable[[Any, str], Tuple] = _validated_key,
+) -> List[Tuple]:
+    """The one batch validator: a capped JSON array of validated entries."""
+    data = request.get(field)
+    if not isinstance(data, list):
+        raise StoreError(f"{field} must be a JSON array of arrays")
+    if len(data) > MAX_BATCH_KEYS:
+        raise StoreError(
+            f"{operation} batch must be <= {MAX_BATCH_KEYS} entries, got {len(data)}"
+        )
+    return [entry(item, f"each {field} entry") for item in data]
 
 
 class _NullTrace:
@@ -501,234 +440,167 @@ class QueryEngine:
     :class:`~repro.ngramstore.reader.NGramStore` or a
     :class:`~repro.ngramstore.router.ShardView`); both the TCP socket
     server and the HTTP adapter own one engine each, so the two transports
-    serve byte-identical payloads by construction.  ``server_stats`` is
-    *not* handled here — it belongs to the transport (metrics, cache,
-    connection counts), not to the store.
+    serve byte-identical payloads by construction.  Each operation is one
+    handler in the module's dispatch table.  ``server_stats`` and
+    ``metrics`` are *not* handled here — they belong to the transport
+    (metrics, cache, connection counts), not to the store.
 
     ``extra_store`` is an optional second store (``serve --extra-store``)
     the ``compare`` operation looks keys up in alongside the primary;
-    without one, ``compare`` is a clean :class:`StoreError`.  Surface
-    terms are always translated against the *primary* store's vocabulary.
+    without one, ``compare`` is a clean :class:`StoreError`.  ``translate``
+    and ``render`` always use the *primary* store's vocabulary.
     """
 
     def __init__(self, store: Any, extra_store: Any = None) -> None:
         self.store = store
         self.extra_store = extra_store
 
-    # ------------------------------------------------------------ helpers
-    def _request_key(self, request: Dict[str, Any], surface: bool) -> Optional[Tuple]:
-        """The query key of a get/prefix request; None for unknown terms."""
-        if surface:
-            terms = request.get("terms")
-            if not isinstance(terms, list) or not all(
-                isinstance(term, str) for term in terms
-            ):
-                raise StoreError("terms must be a JSON array of strings")
-            (key,) = self.store.translate_terms([tuple(terms)])
-            return key
-        return _json_key(request.get("key"))
-
-    def _record_payload(self, records: List[Record], surface: bool) -> List[List[Any]]:
-        if surface:
-            rendered = self.store.render_ngrams([record[0] for record in records])
-            return [
-                [list(terms), record[1]] for terms, record in zip(rendered, records)
-            ]
-        return [[list(record[0]), record[1]] for record in records]
-
-    @staticmethod
-    def _validated_limit(request: Dict[str, Any]) -> Optional[int]:
-        limit = request.get("limit")
-        if limit is not None and (not isinstance(limit, int) or limit < 0):
-            raise StoreError(
-                f"prefix limit must be a non-negative integer, got {limit!r}"
-            )
-        return limit
-
-    def _prefix_response(
-        self, key: Optional[Tuple], limit: Optional[int], surface: bool
-    ) -> Dict[str, Any]:
-        if key is None:  # unknown surface term: nothing can match
-            return {"records": [], "truncated": False}
-        effective_limit = (
-            MAX_PREFIX_RECORDS if limit is None else min(limit, MAX_PREFIX_RECORDS)
-        )
-        records: List[Record] = []
-        truncated = False
-        for record_key, value in self.store.prefix(key):
-            if len(records) >= effective_limit:
-                truncated = True
-                break
-            records.append(NGramRecord(record_key, value))
-        return {
-            "records": self._record_payload(records, surface),
-            "truncated": truncated,
-        }
-
-    # ------------------------------------------------------------- handle
     def handle(self, request: Dict[str, Any], trace: Any = None) -> Dict[str, Any]:
         """Answer one unified-schema request.
 
         ``trace`` is an optional :class:`~repro.util.tracing.TraceContext`;
-        when given, time spent routing the request (validation, surface-term
-        translation) and reading the store is credited to its ``route`` and
-        ``read`` stages, which is what lets a slow-query log line say *where*
-        a request's latency went.
+        when given, time spent routing the request (validation) and reading
+        the store is credited to its ``route`` and ``read`` stages, which is
+        what lets a slow-query log line say *where* a request's latency
+        went.
         """
-        if trace is None:
-            trace = _NULL_TRACE
         operation = str(request.get("op"))
-        surface = "terms" in request or bool(request.get("surface"))
-        if operation == "get":
-            with trace.stage("route"):
-                key = self._request_key(request, surface)
-            with trace.stage("read"):
-                value = _MISSING if key is None else self.store.get(key, _MISSING)
-            if value is _MISSING:
-                return {"found": False, "value": None}
-            return {"found": True, "value": value}
-        if operation == "multi_get":
-            with trace.stage("route"):
-                if surface:
-                    keys = self.store.translate_terms(
-                        _validated_terms_batch(request.get("terms"), "terms")
-                    )
-                else:
-                    data = request.get("keys")
-                    if not isinstance(data, list):
-                        raise StoreError("keys must be a JSON array of key arrays")
-                    keys = [_json_key(item, "each key") for item in data]
-                if len(keys) > MAX_BATCH_KEYS:
-                    raise StoreError(
-                        f"multi_get batch must be <= {MAX_BATCH_KEYS} keys, "
-                        f"got {len(keys)}"
-                    )
-            found: List[bool] = []
-            values: List[Any] = []
-            with trace.stage("read"):
-                for key in keys:
-                    value = _MISSING if key is None else self.store.get(key, _MISSING)
-                    found.append(value is not _MISSING)
-                    values.append(None if value is _MISSING else value)
-            return {"found": found, "values": values}
-        if operation == "prefix":
-            with trace.stage("route"):
-                key = self._request_key(request, surface)
-                limit = self._validated_limit(request)
-            with trace.stage("read"):
-                return self._prefix_response(key, limit, surface)
-        if operation == "multi_prefix":
-            with trace.stage("route"):
-                data = request.get("keys")
-                if not isinstance(data, list):
-                    raise StoreError("keys must be a JSON array of key arrays")
-                keys = [_json_key(item, "each key") for item in data]
-                if len(keys) > MAX_BATCH_KEYS:
-                    raise StoreError(
-                        f"multi_prefix batch must be <= {MAX_BATCH_KEYS} keys, "
-                        f"got {len(keys)}"
-                    )
-                limit = self._validated_limit(request)
-            with trace.stage("read"):
-                return {
-                    "results": [
-                        self._prefix_response(key, limit, surface=False) for key in keys
-                    ]
-                }
-        if operation == "top_k":
-            with trace.stage("route"):
-                k = request.get("k")
-                if not isinstance(k, int) or isinstance(k, bool):
-                    raise StoreError(f"top_k k must be an integer, got {k!r}")
-                if k > MAX_TOP_K:
-                    raise StoreError(f"top_k k must be <= {MAX_TOP_K}, got {k}")
-                order = request.get("order", "frequency")
-                if order not in TOP_K_ORDERS:
-                    raise StoreError(
-                        f"top_k order must be one of {', '.join(TOP_K_ORDERS)}, "
-                        f"got {order!r}"
-                    )
-                validate_top_k(k, order)
-            with trace.stage("read"):
-                records = self.store.top_k(k, order)
-                return {"records": self._record_payload(records, surface)}
-        if operation == "complete":
-            with trace.stage("route"):
-                key = self._request_key(request, surface)
-                k = validate_complete_k(request.get("k", DEFAULT_COMPLETE_K))
-            with trace.stage("read"):
-                if key is None:  # unknown surface term: nothing continues it
-                    completions, truncated = [], False
-                else:
-                    completions, truncated = complete_scan(
-                        self.store.prefix(key), len(key), k
-                    )
-                if surface:
-                    rendered = self.store.render_ngrams(
-                        [(completion.token,) for completion in completions]
-                    )
-                    payload = [
-                        [terms[0], completion.value]
-                        for terms, completion in zip(rendered, completions)
-                    ]
-                else:
-                    payload = [
-                        [completion.token, completion.value]
-                        for completion in completions
-                    ]
-            return {"completions": payload, "truncated": truncated}
-        if operation == "compare":
-            with trace.stage("route"):
-                if self.extra_store is None:
-                    raise StoreError(
-                        "no comparison store mounted; start the server with "
-                        "--extra-store to enable 'compare'"
-                    )
-                key = self._request_key(request, surface)
-            with trace.stage("read"):
-                value_a = _MISSING if key is None else self.store.get(key, _MISSING)
-                value_b = (
-                    _MISSING if key is None else self.extra_store.get(key, _MISSING)
+        entry = _DISPATCH.get(operation)
+        if entry is None:
+            raise StoreError(
+                f"unknown op {operation!r}; expected one of {', '.join(OPERATIONS)}"
+            )
+        return entry[0](self, request, _NULL_TRACE if trace is None else trace)
+
+    # ----------------------------------------------------------- handlers
+    def _get(self, request: Dict[str, Any], trace: Any) -> Dict[str, Any]:
+        with trace.stage("route"):
+            key = _validated_key(request.get("key"), "key")
+        with trace.stage("read"):
+            value = self.store.get(key, _MISSING)
+        if value is _MISSING:
+            return {"found": False, "value": None}
+        return {"found": True, "value": value}
+
+    def _multi_get(self, request: Dict[str, Any], trace: Any) -> Dict[str, Any]:
+        with trace.stage("route"):
+            keys = _validated_batch(request, "keys", "multi_get")
+        found: List[bool] = []
+        values: List[Any] = []
+        with trace.stage("read"):
+            for key in keys:
+                value = self.store.get(key, _MISSING)
+                found.append(value is not _MISSING)
+                values.append(None if value is _MISSING else value)
+        return {"found": found, "values": values}
+
+    def _prefix(self, request: Dict[str, Any], trace: Any) -> Dict[str, Any]:
+        with trace.stage("route"):
+            key = _validated_key(request.get("key"), "key")
+            limit = validate_limit(request.get("limit"))
+        with trace.stage("read"):
+            cap = MAX_PREFIX_RECORDS if limit is None else min(limit, MAX_PREFIX_RECORDS)
+            records: List[List[Any]] = []
+            truncated = False
+            for record_key, value in self.store.prefix(key):
+                if len(records) >= cap:
+                    truncated = True
+                    break
+                records.append([list(record_key), value])
+        return {"records": records, "truncated": truncated}
+
+    def _top_k(self, request: Dict[str, Any], trace: Any) -> Dict[str, Any]:
+        with trace.stage("route"):
+            k = request.get("k")
+            if not isinstance(k, int) or isinstance(k, bool):
+                raise StoreError(f"top_k k must be an integer, got {k!r}")
+            if k > MAX_TOP_K:
+                raise StoreError(f"top_k k must be <= {MAX_TOP_K}, got {k}")
+            order = request.get("order", "frequency")
+            if order not in TOP_K_ORDERS:
+                raise StoreError(
+                    f"top_k order must be one of {', '.join(TOP_K_ORDERS)}, "
+                    f"got {order!r}"
                 )
-            return {
-                "found_a": value_a is not _MISSING,
-                "value_a": None if value_a is _MISSING else value_a,
-                "found_b": value_b is not _MISSING,
-                "value_b": None if value_b is _MISSING else value_b,
-            }
-        if operation == "translate":
-            with trace.stage("route"):
-                batch = _validated_terms_batch(request.get("terms"), "terms")
-                if len(batch) > MAX_BATCH_KEYS:
-                    raise StoreError(
-                        f"translate batch must be <= {MAX_BATCH_KEYS} items, "
-                        f"got {len(batch)}"
-                    )
-            with trace.stage("read"):
-                keys = self.store.translate_terms(batch)
-            return {"keys": [None if key is None else list(key) for key in keys]}
-        if operation == "render":
-            with trace.stage("route"):
-                data = request.get("ngrams")
-                if not isinstance(data, list):
-                    raise StoreError("ngrams must be a JSON array of key arrays")
-                if len(data) > MAX_BATCH_KEYS:
-                    raise StoreError(
-                        f"render batch must be <= {MAX_BATCH_KEYS} items, "
-                        f"got {len(data)}"
-                    )
-                ngrams = [_json_key(item, "each ngram") for item in data]
-            with trace.stage("read"):
-                try:
-                    rendered = self.store.render_ngrams(ngrams)
-                except VocabularyError as error:
-                    raise StoreError(f"{error}") from error
-            return {"terms": [list(terms) for terms in rendered]}
-        if operation == "stats":
-            with trace.stage("read"):
-                return dict(self.store.stats())
-        if operation == "ping":
-            return {"pong": True}
-        raise StoreError(
-            f"unknown op {operation!r}; expected one of {', '.join(OPERATIONS)}"
-        )
+            validate_top_k(k, order)
+        with trace.stage("read"):
+            records = self.store.top_k(k, order)
+            return {"records": [[list(key), value] for key, value in records]}
+
+    def _complete(self, request: Dict[str, Any], trace: Any) -> Dict[str, Any]:
+        with trace.stage("route"):
+            key = _validated_key(request.get("key"), "key")
+            k = validate_complete_k(request.get("k", DEFAULT_COMPLETE_K))
+        with trace.stage("read"):
+            completions, truncated = complete_scan(self.store.prefix(key), len(key), k)
+        return {
+            "completions": [list(completion) for completion in completions],
+            "truncated": truncated,
+        }
+
+    def _compare(self, request: Dict[str, Any], trace: Any) -> Dict[str, Any]:
+        with trace.stage("route"):
+            if self.extra_store is None:
+                raise StoreError(
+                    "no comparison store mounted; start the server with "
+                    "--extra-store to enable 'compare'"
+                )
+            key = _validated_key(request.get("key"), "key")
+        with trace.stage("read"):
+            value_a = self.store.get(key, _MISSING)
+            value_b = self.extra_store.get(key, _MISSING)
+        return {
+            "found_a": value_a is not _MISSING,
+            "value_a": None if value_a is _MISSING else value_a,
+            "found_b": value_b is not _MISSING,
+            "value_b": None if value_b is _MISSING else value_b,
+        }
+
+    def _translate(self, request: Dict[str, Any], trace: Any) -> Dict[str, Any]:
+        with trace.stage("route"):
+            batch = _validated_batch(request, "terms", "translate", _validated_terms)
+        with trace.stage("read"):
+            keys = self.store.translate_terms(batch)
+        return {"keys": [None if key is None else list(key) for key in keys]}
+
+    def _render(self, request: Dict[str, Any], trace: Any) -> Dict[str, Any]:
+        with trace.stage("route"):
+            ngrams = _validated_batch(request, "ngrams", "render")
+        with trace.stage("read"):
+            rendered = self.store.render_ngrams(ngrams)
+        return {"terms": [list(terms) for terms in rendered]}
+
+    def _stats(self, request: Dict[str, Any], trace: Any) -> Dict[str, Any]:
+        with trace.stage("read"):
+            return dict(self.store.stats())
+
+    def _ping(self, request: Dict[str, Any], trace: Any) -> Dict[str, Any]:
+        return {"pong": True}
+
+
+#: The one dispatch table of the unified wire schema: op -> (handler,
+#: whether the operation reads store blocks).
+_DISPATCH: Dict[str, Tuple[Callable[..., Dict[str, Any]], bool]] = {
+    "get": (QueryEngine._get, True),
+    "multi_get": (QueryEngine._multi_get, True),
+    "prefix": (QueryEngine._prefix, True),
+    "top_k": (QueryEngine._top_k, True),
+    "complete": (QueryEngine._complete, True),
+    "compare": (QueryEngine._compare, True),
+    "translate": (QueryEngine._translate, False),
+    "render": (QueryEngine._render, False),
+    "stats": (QueryEngine._stats, False),
+    "ping": (QueryEngine._ping, False),
+}
+
+#: Operations answered by the transport, not the engine: they report on
+#: the server (metrics, cache, connections), not on the store.
+TRANSPORT_OPERATIONS = ("server_stats", "metrics")
+
+#: Every operation of the unified wire protocol (also the metrics buckets).
+OPERATIONS = (*_DISPATCH, *TRANSPORT_OPERATIONS)
+
+#: Operations that read blocks — the ones worth per-request I/O deltas.
+READ_OPERATIONS = frozenset(
+    operation for operation, (_, reads) in _DISPATCH.items() if reads
+)

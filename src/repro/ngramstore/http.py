@@ -21,16 +21,16 @@ slow-query log) and answer byte-identically by construction.  One
 
       GET /ping
       GET /stats            | GET /server_stats
-      GET /get?key=3,7      | GET /get?terms=the,quick
+      GET /get?key=3,7
       GET /prefix?key=3&limit=100
-      GET /top_k?k=10&order=frequency&surface=1
-      GET /complete?terms=new,york&k=5
-      GET /compare?key=3,7  | GET /compare?terms=new,york
+      GET /top_k?k=10&order=frequency
+      GET /complete?key=3,7&k=5
+      GET /compare?key=3,7
 
-``key`` is comma-separated term identifiers; ``terms`` is comma-separated
-surface terms (translated server-side); ``surface=1`` renders ``top_k``
-results as terms.  Errors come back as ``{"ok": false, "error": ...}``
-with status 400 (bad request) or 404 (unknown route).
+``key`` is comma-separated term identifiers.  Surface terms go through
+``POST /query`` with the ``translate`` and ``render`` operations.  Errors
+come back as ``{"ok": false, "error": ...}`` with status 400 (bad
+request) or 404 (unknown route).
 
 :class:`HttpStoreClient` is the in-repo client: a
 :class:`~repro.ngramstore.api.RemoteStore` over ``POST /query`` via
@@ -81,16 +81,14 @@ def _parse_key_param(raw: str) -> Tuple[int, ...]:
     except ValueError:
         raise StoreError(
             f"key must be comma-separated term identifiers, got {raw!r} "
-            "(use terms= for surface terms)"
+            "(translate surface terms with the translate op first)"
         )
 
 
 def _request_from_query(operation: str, params: Dict[str, Any]) -> Dict[str, Any]:
     """Build a unified-schema request dict from GET query parameters."""
     request: Dict[str, Any] = {"op": operation}
-    if "terms" in params:
-        request["terms"] = params["terms"][-1].split(",")
-    elif "key" in params:
+    if "key" in params:
         request["key"] = list(_parse_key_param(params["key"][-1]))
     if "limit" in params:
         try:
@@ -104,8 +102,6 @@ def _request_from_query(operation: str, params: Dict[str, Any]) -> Dict[str, Any
             raise StoreError(f"k must be an integer, got {params['k'][-1]!r}")
     if "order" in params:
         request["order"] = params["order"][-1]
-    if "surface" in params:
-        request["surface"] = params["surface"][-1] not in ("", "0", "false", "no")
     return request
 
 

@@ -45,7 +45,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.config import ExecutionConfig, StoreConfig
 from repro.exceptions import StoreError
-from repro.ngramstore.api import NGramRecord, StoreAPI
+from repro.ngramstore.api import NGramRecord, StoreAPI, prefix_scan, vocabulary_render, vocabulary_translate
 from repro.ngramstore.build import DICTIONARY_FILENAME, build_store
 from repro.ngramstore.merge import _merge_streams, merge_stores
 from repro.ngramstore.reader import NGramStore
@@ -54,7 +54,6 @@ from repro.ngramstore.table import (
     BlockCache,
     TopKAccumulator,
     _frequency_type_error,
-    prefix_records,
     validate_top_k,
 )
 
@@ -572,14 +571,7 @@ class GenerationView(StoreAPI):
 
     def prefix(self, tokens: Any, limit: Optional[int] = None) -> Iterator[Record]:
         self._check_open()
-        records = prefix_records(self.scan, tuple(tokens))
-        if limit is not None:
-            if not isinstance(limit, int) or limit < 0:
-                raise StoreError(
-                    f"prefix limit must be a non-negative integer, got {limit!r}"
-                )
-            records = islice(records, limit)
-        return (NGramRecord(key, value) for key, value in records)
+        return prefix_scan(self.scan, tokens, limit)
 
     def top_k(self, k: int, order: str = "frequency") -> List[Record]:
         """Exact top-k over the *summed* counts.
@@ -628,34 +620,13 @@ class GenerationView(StoreAPI):
         }
 
     # ------------------------------------------------------ vocabulary ops
-    def _require_vocabulary(self) -> Any:
-        vocabulary = self.vocabulary
-        if vocabulary is None:
-            raise StoreError(
-                f"LSM store {self.store_dir!r} has no persisted vocabulary; "
-                "term-keyed operations need ingests with encoded collections"
-            )
-        return vocabulary
-
     def translate_terms(self, items: Any) -> List[Optional[Tuple]]:
         self._check_open()
-        vocabulary = self._require_vocabulary()
-        from repro.exceptions import VocabularyError
-
-        keys: List[Optional[Tuple]] = []
-        for terms in items:
-            try:
-                keys.append(tuple(vocabulary.term_id(term) for term in terms))
-            except VocabularyError:
-                keys.append(None)
-        return keys
+        return vocabulary_translate(self, items)
 
     def render_ngrams(self, ngrams: Any) -> List[Tuple[str, ...]]:
         self._check_open()
-        vocabulary = self._require_vocabulary()
-        return [
-            tuple(vocabulary.term(term_id) for term_id in ngram) for ngram in ngrams
-        ]
+        return vocabulary_render(self, ngrams)
 
     def __iter__(self) -> Iterator[Any]:
         return (key for key, _ in self.scan())

@@ -26,9 +26,9 @@ from bisect import bisect_right
 from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.exceptions import StoreError, VocabularyError
+from repro.exceptions import StoreError
 from repro.kvstore.cached import CacheStats
-from repro.ngramstore.api import NGramRecord, StoreAPI
+from repro.ngramstore.api import NGramRecord, StoreAPI, prefix_scan, vocabulary_render, vocabulary_translate
 from repro.ngramstore.build import (
     DICTIONARY_FILENAME,
     RESIDUAL_DIRNAME,
@@ -41,7 +41,6 @@ from repro.ngramstore.table import (
     Table,
     TopKAccumulator,
     _frequency_type_error,
-    prefix_records,
     top_k_records,
     validate_top_k,
 )
@@ -280,14 +279,7 @@ class NGramStore(StoreAPI):
         scan) pull records as needed; ``limit`` caps how many are yielded.
         """
         self._check_open()
-        records = prefix_records(self.scan, tuple(tokens))
-        if limit is not None:
-            if not isinstance(limit, int) or limit < 0:
-                raise StoreError(
-                    f"prefix limit must be a non-negative integer, got {limit!r}"
-                )
-            records = islice(records, limit)
-        return (NGramRecord(key, value) for key, value in records)
+        return prefix_scan(self.scan, tokens, limit)
 
     def top_k(self, k: int, order: str = "frequency") -> List[Record]:
         """The ``k`` top records store-wide, streamed with O(k) memory.
@@ -377,39 +369,15 @@ class NGramStore(StoreAPI):
         return stats
 
     # ------------------------------------------------------ vocabulary ops
-    def _require_vocabulary(self) -> Any:
-        vocabulary = self.vocabulary
-        if vocabulary is None:
-            raise StoreError(
-                f"store {self.store_dir!r} has no persisted vocabulary; "
-                "term-keyed operations need a build with vocabulary="
-            )
-        return vocabulary
-
     def translate_terms(self, items: Any) -> List[Optional[Tuple]]:
-        """Surface-term tuples -> term-id keys; ``None`` where any term is unknown.
-
-        Unknown terms are a normal query outcome (the corpus simply never
-        produced them), not an error — the caller sees ``None`` and treats
-        the n-gram as absent.
-        """
+        """Surface-term tuples -> term-id keys; ``None`` where any term is unknown."""
         self._check_open()
-        vocabulary = self._require_vocabulary()
-        keys: List[Optional[Tuple]] = []
-        for terms in items:
-            try:
-                keys.append(tuple(vocabulary.term_id(term) for term in terms))
-            except VocabularyError:
-                keys.append(None)
-        return keys
+        return vocabulary_translate(self, items)
 
     def render_ngrams(self, ngrams: Any) -> List[Tuple[str, ...]]:
         """Term-id keys -> surface-term tuples via the persisted dictionary."""
         self._check_open()
-        vocabulary = self._require_vocabulary()
-        return [
-            tuple(vocabulary.term(term_id) for term_id in ngram) for ngram in ngrams
-        ]
+        return vocabulary_render(self, ngrams)
 
     def __iter__(self) -> Iterator[Any]:
         """Stream every key in global key order."""

@@ -39,13 +39,14 @@ from repro.ngramstore.api import (
     NGramRecord,
     Record,
     StoreAPI,
+    prefix_scan,
     validate_complete_k,
+    validate_limit,
 )
 from repro.ngramstore.reader import NGramStore
 from repro.ngramstore.table import (
     TopKAccumulator,
     _frequency_type_error,
-    prefix_records,
     validate_top_k,
 )
 from repro.util.metrics import MetricsRegistry
@@ -175,14 +176,7 @@ class ShardView(StoreAPI):
 
     def prefix(self, tokens: Any, limit: Optional[int] = None) -> Iterator[Record]:
         """Owned records starting with ``tokens``, in key order (lazy)."""
-        records = prefix_records(self.scan, tuple(tokens))
-        if limit is not None:
-            if not isinstance(limit, int) or limit < 0:
-                raise StoreError(
-                    f"prefix limit must be a non-negative integer, got {limit!r}"
-                )
-            records = islice(records, limit)
-        return (NGramRecord(key, value) for key, value in records)
+        return prefix_scan(self.scan, tokens, limit)
 
     def top_k(self, k: int, order: str = "frequency") -> List[Record]:
         """The ``k`` best records among the shard's own partitions."""
@@ -375,30 +369,14 @@ class ReplicaPool(StoreAPI):
     def prefix(self, tokens: Any, limit: Optional[int] = None) -> List[Record]:
         return list(self._invoke("prefix", tokens, limit=limit))
 
-    def multi_prefix(
-        self, prefixes: Sequence[Any], limit: Optional[int] = None
-    ) -> List[List[Record]]:
-        return [
-            list(records)
-            for records in self._invoke("multi_prefix", prefixes, limit=limit)
-        ]
-
     def top_k(self, k: int, order: str = "frequency") -> List[Record]:
         return self._invoke("top_k", k, order)
 
     def complete(self, ngram: Any, k: int = DEFAULT_COMPLETE_K) -> List[Completion]:
         return self._invoke("complete", ngram, k)
 
-    def complete_terms(
-        self, terms: Sequence[str], k: int = DEFAULT_COMPLETE_K
-    ) -> List[Completion]:
-        return self._invoke("complete_terms", terms, k)
-
     def compare(self, ngram: Any) -> Dict[str, Any]:
         return self._invoke("compare", ngram)
-
-    def compare_terms(self, terms: Sequence[str]) -> Dict[str, Any]:
-        return self._invoke("compare_terms", terms)
 
     def stats(self) -> Dict[str, Any]:
         return self._invoke("stats")
@@ -411,22 +389,6 @@ class ReplicaPool(StoreAPI):
 
     def render_ngrams(self, ngrams: Sequence[Tuple]) -> List[Tuple[str, ...]]:
         return self._invoke("render_ngrams", ngrams)
-
-    def get_terms(self, terms: Sequence[str], default: Any = None) -> Any:
-        return self._invoke("get_terms", terms, default)
-
-    def multi_get_terms(
-        self, items: Sequence[Sequence[str]], default: Any = None
-    ) -> List[Any]:
-        return self._invoke("multi_get_terms", items, default)
-
-    def prefix_terms(
-        self, terms: Sequence[str], limit: Optional[int] = None
-    ) -> List[Record]:
-        return list(self._invoke("prefix_terms", terms, limit=limit))
-
-    def top_k_terms(self, k: int, order: str = "frequency") -> List[Record]:
-        return self._invoke("top_k_terms", k, order)
 
     # ----------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -652,10 +614,7 @@ class ShardRouter(StoreAPI):
         return results
 
     def prefix(self, tokens: Any, limit: Optional[int] = None) -> List[Record]:
-        if limit is not None and (not isinstance(limit, int) or limit < 0):
-            raise StoreError(
-                f"prefix limit must be a non-negative integer, got {limit!r}"
-            )
+        validate_limit(limit)
         prefix = tuple(tokens)
         # Every relevant shard is asked with the caller's full limit in
         # parallel: each shard's capped result is a superset of its
@@ -756,18 +715,6 @@ class ShardRouter(StoreAPI):
             self._router_requests.inc(op="compare")
             self._fanout_seconds.observe(watch.elapsed(), op="compare")
             self._fanout_shards.observe(0.0 if owner is None else 1.0, op="compare")
-
-    def compare_terms(self, terms: Sequence[str]) -> Dict[str, Any]:
-        (key,) = self._any_client().translate_terms([tuple(terms)])
-        if key is None:
-            # The engine's unknown-surface-term answer: found nowhere.
-            return {
-                "found_a": False,
-                "value_a": None,
-                "found_b": False,
-                "value_b": None,
-            }
-        return self.compare(key)
 
     def stats(self) -> Dict[str, Any]:
         """Aggregated topology stats: store totals plus per-shard summary."""

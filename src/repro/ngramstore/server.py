@@ -24,14 +24,11 @@ adapter in :mod:`repro.ngramstore.http`)::
     -> {"op": "prefix", "key": [3], "limit": 100}
     <- {"ok": true, "records": [[[3, 7], 42], ...], "truncated": false}
 
-    -> {"op": "multi_prefix", "keys": [[3], [9]], "limit": 100}
-    <- {"ok": true, "results": [{"records": [...], "truncated": false}, ...]}
-
     -> {"op": "top_k", "k": 10, "order": "frequency"}
     <- {"ok": true, "records": [[[0], 981], ...]}
 
-    -> {"op": "complete", "terms": ["new", "york"], "k": 5}
-    <- {"ok": true, "completions": [["times", 87], ...], "truncated": false}
+    -> {"op": "complete", "key": [3, 7], "k": 5}
+    <- {"ok": true, "completions": [[12, 87], ...], "truncated": false}
 
     -> {"op": "compare", "key": [3, 7]}       # needs serve --extra-store
     <- {"ok": true, "found_a": true, "value_a": 42,
@@ -45,12 +42,13 @@ adapter in :mod:`repro.ngramstore.http`)::
 
     -> {"op": "stats"} | {"op": "server_stats"} | {"op": "ping"}
 
-Keys travel as JSON arrays of term identifiers (the store's native keys);
-term-keyed variants (``"terms"`` instead of ``"key"``/``"keys"``, or
-``"surface": true`` on ``top_k``) run the vocabulary translation
-server-side, where the dictionary lives.  Failures — including a line
-that is not JSON at all — come back as ``{"ok": false, "error": ...}`` on
-the same stream, so one bad request does not cost the connection.
+Keys travel as JSON arrays of term identifiers (the store's native keys).
+``translate`` and ``render`` are the only term-keyed operations: they run
+against the dictionary server-side, where it lives, and a client composes
+a term-keyed query as translate → id operation → render.  Failures —
+including a line that is not JSON at all — come back as
+``{"ok": false, "error": ...}`` on the same stream, so one bad request
+does not cost the connection.
 :class:`StoreClient` is the in-repo client: a
 :class:`~repro.ngramstore.api.RemoteStore` that speaks the protocol and
 hands back the canonical records, exactly what :class:`NGramStore` itself
@@ -80,6 +78,7 @@ from repro.ngramstore.api import (
     MAX_PREFIX_RECORDS,
     MAX_TOP_K,
     OPERATIONS,
+    READ_OPERATIONS,
     QueryEngine,
     RemoteStore,
     ensure_comparable_vocabulary,
@@ -108,12 +107,6 @@ Record = Tuple[Any, Any]
 #: Largest accepted request line; anything longer is a protocol error.
 MAX_REQUEST_BYTES = 1 << 20
 
-#: Operations that read blocks — the ones worth per-request I/O deltas.
-_READ_OPERATIONS = frozenset(
-    ("get", "multi_get", "prefix", "multi_prefix", "top_k", "complete", "compare")
-)
-
-
 def percentile(sorted_samples: List[float], fraction: float) -> float:
     """Nearest-rank percentile of an ascending sample list (must be non-empty)."""
     rank = max(1, min(len(sorted_samples), math.ceil(len(sorted_samples) * fraction)))
@@ -124,17 +117,10 @@ def request_key_count(request: Any) -> int:
     """How many keys a request asks about (for slow-query log lines)."""
     if not isinstance(request, dict):
         return 0
-    for field in ("keys", "ngrams"):
+    for field in ("keys", "ngrams", "terms"):
         value = request.get(field)
         if isinstance(value, list):
             return len(value)
-    terms = request.get("terms")
-    if isinstance(terms, list):
-        # "terms" is either one surface key (list of strings) or a batch
-        # of them (list of lists, for multi_get / translate).
-        if terms and isinstance(terms[0], list):
-            return len(terms)
-        return 1
     if isinstance(request.get("key"), list):
         return 1
     return 0
@@ -332,7 +318,7 @@ def collect_io_counters(store: Any, operation: str) -> Optional[Dict[str, float]
     ``None`` for operations that never touch blocks (ping, stats, ...) or
     stores that expose neither surface — callers skip the delta entirely.
     """
-    if operation not in _READ_OPERATIONS:
+    if operation not in READ_OPERATIONS:
         return None
     counters: Dict[str, float] = {}
     if hasattr(store, "io_stats"):

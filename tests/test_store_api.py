@@ -21,6 +21,7 @@ import pytest
 from repro.cli import main
 from repro.config import ServerConfig, StoreConfig
 from repro.corpus.vocabulary import Vocabulary
+from repro.exceptions import StoreError
 from repro.ngramstore import (
     BlockCache,
     HttpStoreClient,
@@ -107,6 +108,8 @@ def reference(store_dir, extra_store_dir):
                 key: engine.handle({"op": "compare", "key": list(key)})
                 for key in compare_keys
             }
+        top_records = store.top_k(8)
+        top_rendered = store.render_ngrams([key for key, _ in top_records])
         return {
             "expected": expected,
             "top_frequency": store.top_k(12),
@@ -115,7 +118,10 @@ def reference(store_dir, extra_store_dir):
                 term: list(store.prefix((term,))) for term in first_terms
             },
             "stats": store.stats(),
-            "top_terms": store.top_k_terms(8),
+            "top_terms": [
+                NGramRecord(terms, value)
+                for terms, (_, value) in zip(top_rendered, top_records)
+            ],
             "completions": {
                 prefix: store.complete(prefix, 6) for prefix in complete_prefixes
             },
@@ -213,16 +219,6 @@ class TestConformance:
             assert list(api.prefix((term,), limit=3)) == records[:3]
         assert list(api.prefix((MAX_TERM + 1000,))) == []
 
-    def test_multi_prefix(self, api, reference):
-        prefixes = [(term,) for term in reference["prefixes"]]
-        expected = [records for records in reference["prefixes"].values()]
-        assert api.multi_prefix(prefixes) == expected
-        assert api.multi_prefix(prefixes, limit=2) == [
-            records[:2] for records in expected
-        ]
-        assert api.multi_prefix([]) == []
-        assert api.multi_prefix([(MAX_TERM + 1000,)]) == [[]]
-
     def test_top_k_frequency_and_key_order(self, api, reference):
         assert api.top_k(12) == reference["top_frequency"]
         assert api.top_k(12, order="key") == reference["top_key"]
@@ -235,36 +231,34 @@ class TestConformance:
     def test_ping(self, api):
         assert api.ping() is True
 
-    def test_get_terms(self, api, reference):
-        expected = reference["expected"]
-        key = sorted(expected)[29]
-        terms = [term_for(term_id) for term_id in key]
-        assert api.get_terms(terms) == expected[key]
-        assert api.get_terms(["not-a-term"]) is None
-        assert api.get_terms(["not-a-term"], default=-1) == -1
-
-    def test_multi_get_terms(self, api, reference):
+    def test_translate_terms(self, api, reference):
         expected = reference["expected"]
         keys = sorted(expected)[::97]
-        items = [[term_for(term_id) for term_id in key] for key in keys]
-        items.insert(1, ["no-such-term"])
-        answers = api.multi_get_terms(items)
-        expected_answers = [expected[key] for key in keys]
-        expected_answers.insert(1, None)
-        assert answers == expected_answers
+        items = [tuple(term_for(term_id) for term_id in key) for key in keys]
+        translated = api.translate_terms(items)
+        assert translated == keys
+        # The translated keys drive the id-keyed operations directly.
+        assert api.multi_get(translated) == [expected[key] for key in keys]
+        # Any unknown term makes the whole n-gram unknown: None, not an error.
+        assert api.translate_terms(
+            [("no-such-term",), (term_for(0), "no-such-term"), items[0]]
+        ) == [None, None, keys[0]]
+        assert api.translate_terms([]) == []
 
-    def test_prefix_terms(self, api, reference):
-        term, records = next(iter(reference["prefixes"].items()))
-        rendered = [
-            NGramRecord(tuple(term_for(term_id) for term_id in key), value)
-            for key, value in records
+    def test_render_ngrams(self, api, reference):
+        records = api.top_k(8)
+        rendered = api.render_ngrams([key for key, _ in records])
+        assert rendered == [
+            tuple(term_for(term_id) for term_id in key) for key, _ in records
         ]
-        assert api.prefix_terms([term_for(term)]) == rendered
-        assert api.prefix_terms([term_for(term)], limit=2) == rendered[:2]
-        assert api.prefix_terms(["no-such-term"]) == []
-
-    def test_top_k_terms(self, api, reference):
-        assert api.top_k_terms(8) == reference["top_terms"]
+        assert [
+            NGramRecord(terms, value) for terms, (_, value) in zip(rendered, records)
+        ] == reference["top_terms"]
+        # An id the dictionary does not know is the same typed error on
+        # every implementation, local or remote.
+        with pytest.raises(StoreError, match="unknown term identifier"):
+            api.render_ngrams([(0, MAX_TERM + 1000)])
+        assert api.ping()
 
     def test_records_are_tuple_compatible(self, api, reference):
         """The canonical record unpacks and compares like a plain tuple."""
@@ -278,63 +272,18 @@ class TestConformance:
             assert api.complete(prefix, 6) == completions
         assert api.complete((MAX_TERM + 1000,), 6) == []
 
-    def test_complete_terms(self, api, reference):
-        for prefix, completions in reference["completions"].items():
-            terms = [term_for(term_id) for term_id in prefix]
-            rendered = [
-                (term_for(completion.token), completion.value)
-                for completion in completions
-            ]
-            assert api.complete_terms(terms, 6) == rendered
-        assert api.complete_terms(["no-such-term"], 6) == []
-
-    def _comparer(self, api, extra_store_dir):
-        """``compare``/``compare_terms`` callables for this implementation.
-
-        Remote implementations carry the operations natively (the servers
+    def test_compare(self, api, reference, extra_store_dir):
+        """Remote implementations carry ``compare`` natively (the servers
         mount the extra store); the local store is compared through a
         :class:`QueryEngine` over both stores — the reference semantics the
-        transports must match byte for byte.
-        """
-        if hasattr(api, "compare"):
-            return api.compare, api.compare_terms, None
-        extra = NGramStore.open(extra_store_dir)
-        engine = QueryEngine(api, extra_store=extra)
-
-        def compare(key):
-            return engine.handle({"op": "compare", "key": list(key)})
-
-        def compare_terms(terms):
-            return engine.handle({"op": "compare", "terms": list(terms)})
-
-        return compare, compare_terms, extra
-
-    def test_compare(self, api, reference, extra_store_dir):
-        compare, _, extra = self._comparer(api, extra_store_dir)
-        try:
+        transports must match byte for byte."""
+        with NGramStore.open(extra_store_dir) as extra:
+            engine = QueryEngine(api, extra_store=extra)
+            compare = getattr(
+                api, "compare", lambda key: engine.handle({"op": "compare", "key": list(key)})
+            )
             for key, expected in reference["compares"].items():
                 assert compare(key) == expected
-        finally:
-            if extra is not None:
-                extra.close()
-
-    def test_compare_terms(self, api, reference, extra_store_dir):
-        _, compare_terms, extra = self._comparer(api, extra_store_dir)
-        missing = {
-            "found_a": False,
-            "value_a": None,
-            "found_b": False,
-            "value_b": None,
-        }
-        try:
-            for key, expected in list(reference["compares"].items())[:5]:
-                terms = [term_for(term_id) for term_id in key]
-                if all(term_id <= MAX_TERM for term_id in key):
-                    assert compare_terms(terms) == expected
-            assert compare_terms(["no-such-term"]) == missing
-        finally:
-            if extra is not None:
-                extra.close()
 
 
 class TestQueryCLIRemote:

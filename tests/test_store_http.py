@@ -119,10 +119,17 @@ class TestGetRoutes:
         assert body["ok"] is False
         assert "/get" in body["error"]
 
+    def test_terms_parameter_is_not_a_key(self, base_url):
+        """Surface terms are not a key spelling: translate them first."""
+        status, body = http_get(f"{base_url}/get?terms=a")
+        assert status == 400
+        assert body["ok"] is False
+        assert "key" in body["error"]
+
     def test_bad_parameters_400(self, base_url):
         status, body = http_get(f"{base_url}/get?key=not-an-id")
         assert status == 400
-        assert "terms=" in body["error"]
+        assert "translate" in body["error"]
         status, body = http_get(f"{base_url}/top_k?k=many")
         assert status == 400
         status, body = http_get(f"{base_url}/prefix?key=1&limit=-3")

@@ -318,12 +318,16 @@ def reference(lsm_pipeline):
     with NGramStore.open(lsm_pipeline["union_dir"]) as scratch:
         expected = dict(scratch.items())
         first_terms = sorted({key[0] for key in expected})[:3]
+        top_records = scratch.top_k(6)
+        top_rendered = scratch.render_ngrams([key for key, _ in top_records])
         return {
             "expected": expected,
             "top_frequency": scratch.top_k(10),
             "top_key": scratch.top_k(10, order="key"),
             "prefixes": {term: list(scratch.prefix((term,))) for term in first_terms},
-            "top_terms": scratch.top_k_terms(6),
+            "top_terms": [
+                (terms, value) for terms, (_, value) in zip(top_rendered, top_records)
+            ],
         }
 
 
@@ -418,7 +422,11 @@ class TestServeConformance:
         ]
 
     def test_term_operations(self, api, reference):
-        assert api.top_k_terms(6) == reference["top_terms"]
+        records = api.top_k(6)
+        rendered = api.render_ngrams([key for key, _ in records])
+        assert [
+            (terms, value) for terms, (_, value) in zip(rendered, records)
+        ] == reference["top_terms"]
 
     def test_stats_num_records(self, api, reference):
         assert api.stats()["num_records"] == len(reference["expected"])

@@ -334,6 +334,17 @@ class TestShardRouterLocal:
         finally:
             router.close()
 
+    @pytest.mark.parametrize("limit", [True, False, -1, 2.0])
+    def test_bad_prefix_limit_rejected(self, store_dir, store, limit):
+        """Every prefix entry point shares one limit check; a bool is not a count."""
+        router = self.make_router(store_dir, 3)
+        try:
+            for target in (store, router.shards[0].client, router):
+                with pytest.raises(StoreError, match="limit"):
+                    target.prefix((0,), limit=limit)
+        finally:
+            router.close()
+
     def test_tolerates_empty_shards(self, store_dir, store):
         num_shards = store.num_partitions + 2
         router = self.make_router(store_dir, num_shards)
@@ -380,13 +391,6 @@ class TestShardRouterLocal:
                 reference = list(store.prefix((term,)))
                 assert list(router.prefix((term,))) == reference
                 assert list(router.prefix((term,), limit=3)) == reference[:3]
-            prefixes = [(term,) for term in terms[:6]]
-            assert router.multi_prefix(prefixes) == [
-                list(store.prefix(prefix)) for prefix in prefixes
-            ]
-            assert router.multi_prefix(prefixes, limit=2) == [
-                list(store.prefix(prefix, limit=2)) for prefix in prefixes
-            ]
             for k in (1, 9, 50):
                 assert router.top_k(k) == store.top_k(k)
                 assert router.top_k(k, order="key") == store.top_k(k, order="key")

@@ -129,6 +129,9 @@ class TestProtocol:
                 client.top_k(3, order="bogus")
             with pytest.raises(StoreError, match="limit"):
                 client._call({"op": "prefix", "key": [1], "limit": -4})
+            # A JSON boolean is not a record count, although bool is an int.
+            with pytest.raises(StoreError, match="limit"):
+                client._call({"op": "prefix", "key": [1], "limit": True})
             # The connection survived every error above.
             assert client.ping()
 
@@ -167,19 +170,9 @@ class TestProtocol:
             with StoreClient(server.host, server.port) as client:
                 keys = sorted(expected)[::23] + [(9999,)]
                 assert client.multi_get(keys) == [direct.get(key) for key in keys]
-                terms = sorted({key[0] for key in expected})[:3]
-                prefixes = [(term,) for term in terms]
-                assert client.multi_prefix(prefixes) == [
-                    list(direct.prefix(prefix)) for prefix in prefixes
-                ]
-
-    def test_multi_prefix_validation(self, server):
-        with StoreClient(server.host, server.port) as client:
-            assert client.multi_prefix([]) == []
-            with pytest.raises(StoreError, match="JSON array"):
-                client._call({"op": "multi_prefix", "keys": "nope"})
-            with pytest.raises(StoreError, match="limit"):
-                client._call({"op": "multi_prefix", "keys": [[1]], "limit": -2})
+                assert client.multi_get([]) == []
+                with pytest.raises(StoreError, match="JSON array"):
+                    client._call({"op": "multi_get", "keys": "nope"})
 
     def test_errors_counted_in_metrics(self, server):
         with StoreClient(server.host, server.port) as client:
@@ -581,7 +574,7 @@ class TestCompatShims:
         """This module's store has no dictionary: term ops must say so."""
         with StoreClient(server.host, server.port) as client:
             with pytest.raises(StoreError, match="vocabulary"):
-                client.get_terms(["anything"])
+                client.translate_terms([["anything"]])
             # ...and the connection survives the error.
             assert client.ping()
 
