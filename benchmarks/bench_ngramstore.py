@@ -198,23 +198,6 @@ def _serving_records(count=6000, seed=41):
     return [(key, rng.randint(1, 10_000)) for key in sorted(keys)]
 
 
-def _build_legacy_store(records, store_dir, config):
-    """Build a store whose block indexes predate max_value and blooms."""
-    import repro.ngramstore.format as format_module
-    import repro.ngramstore.table as table_module
-
-    real_write_index = format_module.write_index
-
-    def legacy_write_index(handle, index):
-        return real_write_index(handle, [tuple(entry)[:5] for entry in index])
-
-    table_module.write_index = legacy_write_index
-    try:
-        build_store(records, store_dir, store=config)
-    finally:
-        table_module.write_index = real_write_index
-
-
 def _bench_local_read_paths(records, store_dir, miss_probes=400):
     """mmap vs file I/O latency, and the Bloom point-miss fast path."""
     expected = dict(records)
@@ -312,22 +295,10 @@ def _bench_serving_fast_path():
         os.environ.get("NGRAMSTORE_WORKDIR", "reports"), "ngramstore-serve"
     )
     store_dir = os.path.join(root, "store")
-    legacy_dir = os.path.join(root, "legacy-store")
     build_store(records, store_dir, store=config)
-    _build_legacy_store(records, legacy_dir, config)
-
-    # Old-format identity: a pre-bloom/pre-summary store answers the same.
-    probes = [key for key, _ in records[::37]] + [(12_000,)]
-    with NGramStore.open(store_dir) as modern, NGramStore.open(legacy_dir) as legacy:
-        assert list(modern.items()) == list(legacy.items())
-        assert [modern.get(key) for key in probes] == [
-            legacy.get(key) for key in probes
-        ]
-        assert modern.top_k(25) == legacy.top_k(25)
-        assert legacy.io_stats()["bloom_rejections"] == 0
 
     return {
-        "schema_version": 3,
+        "schema_version": 4,
         "store": {
             "num_records": len(records),
             "num_partitions": config.num_partitions,
@@ -336,9 +307,6 @@ def _bench_serving_fast_path():
         },
         "local": _bench_local_read_paths(records, store_dir),
         "batching": _bench_batching(records, store_dir),
-        "identity": {
-            "legacy_store_identical": True,  # asserted above
-        },
     }
 
 
@@ -376,8 +344,6 @@ def test_ngramstore_serving_fast_path(benchmark):
     # 3. The zero-copy path was actually active (and its twin was not).
     assert report["local"]["mmap"]["mmap_partitions"] == 3
     assert report["local"]["file_io"]["mmap_partitions"] == 0
-    # 4. Old/new-format identity held.
-    assert all(report["identity"].values())
 
 
 def test_ngramstore_build_and_query(benchmark, nyt_spec):

@@ -26,7 +26,7 @@ from repro.mapreduce.dataset import Dataset
 from repro.mapreduce.pipeline import JobPipeline, PipelineResult
 from repro.ngrams.statistics import NGramStatistics
 from repro.util.memory import PeakMemoryTracker
-from repro.util.timer import Timer
+from repro.util.timer import Stopwatch
 
 Record = Tuple[Any, Tuple]
 
@@ -194,18 +194,19 @@ class NGramCounter:
         if tracker is not None:
             tracker.start()
         try:
-            with Timer() as timer:
-                dataset = pipeline.materialize_input(
-                    self.iter_input_records(collection), name=f"{self.name.lower()}-input"
-                )
-                statistics = self._execute(dataset, pipeline, collection)
-                # The statistics are collected; drop the materialised input
-                # (in disk mode this deletes the on-disk corpus copy) rather
-                # than letting it live as long as the result objects.
-                dataset.release()
+            watch = Stopwatch()
+            dataset = pipeline.materialize_input(
+                self.iter_input_records(collection), name=f"{self.name.lower()}-input"
+            )
+            statistics = self._execute(dataset, pipeline, collection)
+            # The statistics are collected; drop the materialised input
+            # (in disk mode this deletes the on-disk corpus copy) rather
+            # than letting it live as long as the result objects.
+            dataset.release()
+            elapsed_seconds = watch.elapsed()
         finally:
             peak = tracker.stop() if tracker is not None else None
-        # Persist outside both the timer and the tracker: the measured
+        # Persist outside both the stopwatch and the tracker: the measured
         # wallclock and peak stay exactly what the counting run produced.
         if store_dir is not None:
             self._persist_store(statistics, store_dir, collection, store)
@@ -214,7 +215,7 @@ class NGramCounter:
             config=self.config,
             statistics=statistics,
             pipeline=pipeline.result,
-            elapsed_seconds=timer.elapsed,
+            elapsed_seconds=elapsed_seconds,
             peak_memory_bytes=peak,
             store_dir=store_dir,
         )

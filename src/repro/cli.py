@@ -439,7 +439,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-clients",
         type=int,
         default=32,
-        help="concurrently served connections (excess connects queue in the backlog)",
+        help="connections served at once, over either transport (an HTTP "
+        "keep-alive connection holds its slot until it closes); excess "
+        "connects wait in the listen backlog",
     )
     serve.add_argument(
         "--ready-file",
@@ -1054,11 +1056,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     def _request_stop(signum, frame):  # noqa: ARG001 - signal handler shape
         stop.set()
 
-    def _snapshot():
-        metrics = server.metrics.snapshot()
-        metrics["cache"] = server.cache_summary()
-        return metrics
-
     def _write_metrics(metrics):
         # Atomic replace: a SIGTERM mid-write or a concurrent poller must
         # never leave/see a torn snapshot file.
@@ -1074,7 +1071,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         def _periodic_snapshots():
             while not stop.wait(args.metrics_interval):
-                _write_metrics(_snapshot())
+                _write_metrics(server.server_stats())
 
         threading.Thread(
             target=_periodic_snapshots, name="metrics-snapshots", daemon=True
@@ -1098,7 +1095,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # second signal mid-close, a store that fails to close): snapshot
         # before close, write before re-raising anything.
         stop.set()
-        metrics = _snapshot()
+        metrics = server.server_stats()
         if args.metrics_file:
             _write_metrics(metrics)
         server.close()

@@ -342,8 +342,10 @@ class ServerConfig:
         all connections.  Resident memory is roughly ``cache_blocks x
         records_per_block x bytes per decoded record``.
     max_clients:
-        Concurrently served connections; further connects wait in the
-        listen backlog until a handler slot frees up.
+        Connections served at once, by the socket and HTTP servers alike
+        (an HTTP/1.1 keep-alive connection holds its slot until it
+        closes); further connects wait in the listen backlog until a
+        handler slot frees up.
     num_shards / shard_index:
         Range sharding: serve only shard ``shard_index`` of a
         ``num_shards``-way split of the store's partitions.  The default

@@ -6,10 +6,13 @@ anything that speaks HTTP — ``curl``, a browser, a load balancer's
 health check — without adding a dependency.
 :class:`NGramStoreHTTPServer` is a
 :class:`~repro.ngramstore.server.StoreServerBase` like the socket server,
-so both run every request through the same ``_execute`` path (one
-:class:`~repro.ngramstore.api.QueryEngine`, one set of metrics and one
-slow-query log) and answer byte-identically by construction.  One
-:class:`~http.server.ThreadingHTTPServer` serves two surfaces:
+so both accept connections on the same bounded loop (``max_clients``
+handler threads, one per connection; an HTTP/1.1 keep-alive connection
+holds its slot until it closes) and run every request through the same
+``_execute`` path (one :class:`~repro.ngramstore.api.QueryEngine`, one set
+of metrics and one slow-query log), answering byte-identically by
+construction.  Each connection is parsed by a stdlib
+:class:`~http.server.BaseHTTPRequestHandler`, which serves two surfaces:
 
 * ``POST /query`` — the full unified request schema as a JSON body,
   answered exactly like one socket protocol line::
@@ -42,10 +45,11 @@ expected (including inside replica pools and shard routers).
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http import client as http_client
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from typing import Any, Dict, List, Optional, Tuple
 from urllib import parse as urllib_parse
 
@@ -106,10 +110,10 @@ def _request_from_query(operation: str, params: Dict[str, Any]) -> Dict[str, Any
 
 
 class _StoreRequestHandler(BaseHTTPRequestHandler):
-    """Maps HTTP requests onto the owning server's :class:`QueryEngine`."""
+    """Maps one connection's HTTP requests onto the server's ``_execute``."""
 
     protocol_version = "HTTP/1.1"
-    server: "_HTTPServer"
+    server: "NGramStoreHTTPServer"
 
     # ----------------------------------------------------------- plumbing
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -139,21 +143,19 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
 
     def _answer(self, request: Any, parse_seconds: float = 0.0) -> None:
         """Run one request through the server's ``_execute`` and reply."""
-        response = self.server.owner._execute(request, parse_seconds=parse_seconds)
+        response = self.server._execute(request, parse_seconds=parse_seconds)
         self._send_json(200 if response["ok"] else 400, response)
 
     # ------------------------------------------------------------- verbs
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler naming)
-        owner = self.server.owner
-        owner.metrics.record_connection()
         parsed = urllib_parse.urlsplit(self.path)
         operation = parsed.path.strip("/")
         if operation == "metrics":
             # The Prometheus scrape surface: raw exposition text, not the
             # JSON envelope (scrapers do not speak the unified schema).
             watch = Stopwatch()
-            text = owner.metrics_text()
-            owner.metrics.record("metrics", watch.elapsed(), True)
+            text = self.server.metrics_text()
+            self.server.metrics.record("metrics", watch.elapsed(), True)
             self._send_text(200, text, METRICS_CONTENT_TYPE)
             return
         if operation not in _GET_OPERATIONS:
@@ -176,8 +178,6 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         self._answer(request)
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib handler naming)
-        owner = self.server.owner
-        owner.metrics.record_connection()
         parsed = urllib_parse.urlsplit(self.path)
         if parsed.path.rstrip("/") != "/query":
             self._send_json(
@@ -200,39 +200,19 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         self._answer(request, parse_seconds=parse_watch.elapsed())
 
 
-class _HTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that knows its owning :class:`NGramStoreHTTPServer`."""
-
-    daemon_threads = True
-
-    def __init__(self, address: Tuple[str, int], owner: "NGramStoreHTTPServer") -> None:
-        self.owner = owner
-        super().__init__(address, _StoreRequestHandler)
-
-
 class NGramStoreHTTPServer(StoreServerBase):
     """Serves one store (or shard view) over HTTP; see the module docstring.
 
-    Construction, ``start()``/``close()`` and request handling are the
+    Construction, ``start()``/``close()``, the ``max_clients`` bound and
+    request handling are the
     :class:`~repro.ngramstore.server.StoreServerBase` ones the socket
-    server uses.  ``config.max_clients`` is advisory here — the stdlib
-    threading server spawns a thread per request — so the knob that
-    matters is the shared ``cache_blocks``.
+    server uses; only the framing differs.
     """
 
     protocol = "http"
-    _httpd: _HTTPServer
 
-    def _bind(self) -> int:
-        self._httpd = _HTTPServer((self.host, self.port), self)
-        return self._httpd.server_address[1]
-
-    def _serve_forever(self) -> None:
-        self._httpd.serve_forever()
-
-    def _stop_serving(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
+    def _handle_connection(self, connection: socket.socket, address: Any) -> None:
+        _StoreRequestHandler(connection, address, self)
 
 
 class HttpStoreClient(RemoteStore):

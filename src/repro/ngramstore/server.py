@@ -4,10 +4,10 @@ The north star is serving n-gram statistics to many consumers, and the
 ``query`` CLI opens (and throws away) a store per invocation.
 :class:`NGramStoreServer` keeps one store open in one process, shares a
 single process-wide LRU :class:`~repro.ngramstore.table.BlockCache` across
-every partition, and serves concurrent clients from a thread per
-connection — the store layer's locks (added for exactly this) make the
-readers safe, and the cache turns a hot key set into pure in-memory
-bisects no matter which connection asked first.
+every partition, and serves up to ``max_clients`` concurrent connections
+from a thread each — the store layer's locks (added for exactly this)
+make the readers safe, and the cache turns a hot key set into pure
+in-memory bisects no matter which connection asked first.
 
 The wire protocol is newline-delimited JSON — one request object per
 line, one response object per line, over a plain TCP socket.  The request
@@ -56,10 +56,12 @@ returns — the serve-smoke CI step asserts that equivalence byte for byte.
 
 Everything except the framing lives in :class:`StoreServerBase`: store
 and ``--extra-store`` opening, the :class:`QueryEngine`, metrics, the
-slow-query log and the request → response path :meth:`~StoreServerBase._execute`.
-:class:`NGramStoreServer` adds newline-JSON over TCP; the HTTP server in
-:mod:`repro.ngramstore.http` adds HTTP on the same base, so both
-transports answer, count and log requests identically by construction.
+slow-query log, the request → response path :meth:`~StoreServerBase._execute`
+and the connection lifecycle (listener, ``max_clients`` bound, accept
+loop, shutdown).  :class:`NGramStoreServer` adds newline-JSON framing; the
+HTTP server in :mod:`repro.ngramstore.http` adds HTTP/1.1 framing on the
+same base, so both transports bound, count and sever connections and
+answer, count and log requests identically by construction.
 """
 
 from __future__ import annotations
@@ -245,7 +247,7 @@ def register_store_observables(
     registry: MetricsRegistry,
     store: Any,
     cache: Optional[BlockCache],
-    active_connections: Any = None,
+    active_connections: Callable[[], int],
 ) -> None:
     """Hang scrape-time gauges for a served store off ``registry``.
 
@@ -306,10 +308,9 @@ def register_store_observables(
         )
         shard.set_callback(lambda: float(store.shard_index), field="index")
         shard.set_callback(lambda: float(store.num_shards), field="num_shards")
-    if active_connections is not None:
-        registry.gauge(
-            "ngramstore_active_connections", "Open client connections"
-        ).set_callback(lambda: float(active_connections()))
+    registry.gauge(
+        "ngramstore_active_connections", "Open client connections"
+    ).set_callback(lambda: float(active_connections()))
 
 
 def collect_io_counters(store: Any, operation: str) -> Optional[Dict[str, float]]:
@@ -389,18 +390,17 @@ class StoreServerBase:
     Construct with a store directory (opened behind one shared block
     cache) or a caller-managed store object; ``config.extra_store`` mounts
     the comparison store.  The base owns the :class:`QueryEngine`, the
-    metrics, the slow-query log and :meth:`_execute`, the one request →
-    response path.  A subclass names its ``protocol``, binds in
-    :meth:`_bind`, serves in :meth:`_serve_forever` (run on a background
-    thread by :meth:`start`) and stops in :meth:`_stop_serving`.
+    metrics, the slow-query log, :meth:`_execute` (the one request →
+    response path) and the whole connection lifecycle: one listener, an
+    accept loop that takes one of ``max_clients`` handler slots before
+    each accept (so bursts beyond the bound wait in the listen backlog),
+    one handler thread per connection, and a :meth:`close` that severs
+    every open connection.  A subclass names its ``protocol`` and speaks
+    its framing over one accepted connection in :meth:`_handle_connection`.
     """
 
     #: Transport name, as printed by ``repro serve``.
     protocol = ""
-
-    #: Open-connection count for the ``active_connections`` gauge and
-    #: ``server_stats`` field; ``None`` when the transport does not track it.
-    _active_connections: Optional[Callable[[], int]] = None
 
     def __init__(self, store: Any, config: Optional[ServerConfig] = None) -> None:
         self.config = config if config is not None else ServerConfig()
@@ -446,29 +446,29 @@ class StoreServerBase:
         self.port = self.config.port
         self._thread: Optional[threading.Thread] = None
         self._shutdown = threading.Event()
+        self._listener: Optional[socket.socket] = None
+        self._slots = threading.Semaphore(self.config.max_clients)
+        self._connections: "set[socket.socket]" = set()
+        self._connections_lock = threading.Lock()
         register_store_observables(
             self.metrics.registry, self.store, self.cache, self._active_connections
         )
 
+    def _active_connections(self) -> int:
+        with self._connections_lock:
+            return len(self._connections)
+
     # ----------------------------------------------------------- lifecycle
-    def _bind(self) -> int:
-        """Bind and listen; returns the bound port."""
-        raise NotImplementedError
-
-    def _serve_forever(self) -> None:
-        raise NotImplementedError
-
-    def _stop_serving(self) -> None:
-        """Unblock :meth:`_serve_forever` and drop open connections."""
-        raise NotImplementedError
-
     def start(self) -> Tuple[str, int]:
         """Bind, listen and serve in background threads; returns (host, port)."""
         if self._thread is not None:
             raise StoreError("server already started")
-        self.port = self._bind()
+        self._listener = socket.create_server(
+            (self.host, self.port), backlog=self.config.max_clients
+        )
+        self.port = self._listener.getsockname()[1]
         self._thread = threading.Thread(
-            target=self._serve_forever,
+            target=self._accept_loop,
             name=f"ngramstore-{self.protocol}",
             daemon=True,
         )
@@ -476,12 +476,26 @@ class StoreServerBase:
         return self.host, self.port
 
     def close(self) -> None:
-        """Stop serving, then release the slow-query log and the stores."""
+        """Stop serving, sever open connections, then release the log and stores."""
         if self._shutdown.is_set():
             return
-        self._shutdown.set()
+        with self._connections_lock:
+            # Under the lock, so the accept loop either registered a
+            # connection before this snapshot or sees the flag and drops it.
+            self._shutdown.set()
+            connections = list(self._connections)
         if self._thread is not None:
-            self._stop_serving()
+            # shutdown() before close(): on Linux, close() alone does not
+            # wake a thread blocked in accept() or recv() on that socket.
+            for endpoint in [self._listener, *connections]:
+                try:
+                    endpoint.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+                try:
+                    endpoint.close()
+                except OSError:
+                    pass
             self._thread.join(timeout=5.0)
         if self.slow_log is not None:
             self.slow_log.close()
@@ -522,8 +536,7 @@ class StoreServerBase:
         """Request metrics plus cache counters: the ``server_stats`` answer."""
         snapshot = self.metrics.snapshot()
         snapshot["cache"] = self.cache_summary()
-        if self._active_connections is not None:
-            snapshot["active_connections"] = self._active_connections()
+        snapshot["active_connections"] = self._active_connections()
         return snapshot
 
     def metrics_text(self) -> str:
@@ -601,59 +614,15 @@ class StoreServerBase:
         return response
 
 
-class NGramStoreServer(StoreServerBase):
-    """Serves one store to concurrent socket clients; see the module docstring.
-
-    ``max_clients`` bounds the handler threads: when every slot is busy the
-    accept loop simply stops accepting, so excess connections queue in the
-    listen backlog (backpressure) instead of failing or piling up threads.
-    """
-
-    protocol = "socket"
-
-    def __init__(self, store: Any, config: Optional[ServerConfig] = None) -> None:
-        self._connections: "set[socket.socket]" = set()
-        self._connections_lock = threading.Lock()
-        super().__init__(store, config)
-        self._listener: Optional[socket.socket] = None
-        self._slots = threading.Semaphore(self.config.max_clients)
-
-    def _active_connections(self) -> int:
-        with self._connections_lock:
-            return len(self._connections)
-
-    # ----------------------------------------------------------- lifecycle
-    def _bind(self) -> int:
-        self._listener = socket.create_server(
-            (self.host, self.port), backlog=self.config.max_clients
-        )
-        return self._listener.getsockname()[1]
-
-    def _stop_serving(self) -> None:
-        # shutdown() before close(): on Linux, close() alone does not
-        # wake a thread blocked in accept() — it would sit there until
-        # the next (never-coming) connection.
-        with self._connections_lock:
-            connections = list(self._connections)
-        for endpoint in [self._listener, *connections]:
-            try:
-                endpoint.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                endpoint.close()
-            except OSError:
-                pass
-
-    # ------------------------------------------------------------- serving
-    def _serve_forever(self) -> None:
+    # --------------------------------------------------------- connections
+    def _accept_loop(self) -> None:
         while not self._shutdown.is_set():
             # A free handler slot is a precondition for accepting: the
             # kernel backlog, not a thread pile-up, absorbs bursts beyond
             # max_clients.
             self._slots.acquire()
             try:
-                connection, _ = self._listener.accept()
+                connection, address = self._listener.accept()
             except OSError:
                 self._slots.release()
                 if self._shutdown.is_set():
@@ -663,63 +632,73 @@ class NGramStoreServer(StoreServerBase):
                 # not permanently stop a live server; back off and retry.
                 time.sleep(0.05)
                 continue
-            if self._shutdown.is_set():
-                connection.close()
-                self._slots.release()
-                return
-            self.metrics.record_connection()
             with self._connections_lock:
+                if self._shutdown.is_set():
+                    connection.close()
+                    self._slots.release()
+                    return
                 self._connections.add(connection)
+            self.metrics.record_connection()
             handler = threading.Thread(
                 target=self._serve_connection,
-                args=(connection,),
-                name="ngramstore-client",
+                args=(connection, address),
+                name=f"ngramstore-{self.protocol}-client",
                 daemon=True,
             )
             try:
                 handler.start()
             except RuntimeError:
                 # Thread exhaustion: drop this connection, keep serving.
-                with self._connections_lock:
-                    self._connections.discard(connection)
-                connection.close()
-                self._slots.release()
+                self._release_connection(connection)
 
-    def _serve_connection(self, connection: socket.socket) -> None:
+    def _serve_connection(self, connection: socket.socket, address: Any) -> None:
         try:
-            reader = connection.makefile("rb")
-            with reader:
-                while not self._shutdown.is_set():
-                    line = reader.readline(MAX_REQUEST_BYTES + 1)
-                    if not line:
-                        return
-                    if len(line) > MAX_REQUEST_BYTES:
-                        self._respond(
-                            connection,
-                            {"ok": False, "error": "request exceeds 1 MiB"},
-                        )
-                        return
-                    parse_watch = Stopwatch()
-                    try:
-                        request: Any = json.loads(line)
-                    except ValueError as error:
-                        request = StoreError(f"request is not valid JSON: {error}")
-                    parse_seconds = parse_watch.elapsed()
-                    if not self._respond(
-                        connection,
-                        self._execute(request, parse_seconds=parse_seconds),
-                    ):
-                        return
+            self._handle_connection(connection, address)
         except OSError:
-            pass  # client went away (or shutdown closed the socket underneath)
+            pass  # client went away (or close() severed the socket underneath)
         finally:
-            with self._connections_lock:
-                self._connections.discard(connection)
-            try:
-                connection.close()
-            except OSError:
-                pass
-            self._slots.release()
+            self._release_connection(connection)
+
+    def _release_connection(self, connection: socket.socket) -> None:
+        with self._connections_lock:
+            self._connections.discard(connection)
+        try:
+            connection.close()
+        except OSError:
+            pass
+        self._slots.release()
+
+    def _handle_connection(self, connection: socket.socket, address: Any) -> None:
+        """Serve requests on one accepted connection until either side ends it."""
+        raise NotImplementedError
+
+
+class NGramStoreServer(StoreServerBase):
+    """Serves one store to concurrent socket clients; see the module docstring."""
+
+    protocol = "socket"
+
+    def _handle_connection(self, connection: socket.socket, address: Any) -> None:
+        with connection.makefile("rb") as reader:
+            while not self._shutdown.is_set():
+                line = reader.readline(MAX_REQUEST_BYTES + 1)
+                if not line:
+                    return
+                if len(line) > MAX_REQUEST_BYTES:
+                    self._respond(
+                        connection, {"ok": False, "error": "request exceeds 1 MiB"}
+                    )
+                    return
+                parse_watch = Stopwatch()
+                try:
+                    request: Any = json.loads(line)
+                except ValueError as error:
+                    request = StoreError(f"request is not valid JSON: {error}")
+                parse_seconds = parse_watch.elapsed()
+                if not self._respond(
+                    connection, self._execute(request, parse_seconds=parse_seconds)
+                ):
+                    return
 
     def _respond(self, connection: socket.socket, response: Dict[str, Any]) -> bool:
         try:

@@ -1,7 +1,6 @@
-"""Small shared utilities (variable-byte coding, stable hashing, timers)."""
+"""Small shared utilities (variable-byte coding, stable hashing)."""
 
 from repro.util.hashing import stable_hash
-from repro.util.timer import Timer
 from repro.util.varint import (
     decode_sequence,
     decode_varint,
@@ -11,7 +10,6 @@ from repro.util.varint import (
 )
 
 __all__ = [
-    "Timer",
     "decode_sequence",
     "decode_varint",
     "encode_sequence",

@@ -117,7 +117,7 @@ class BloomFilter:
 
     @classmethod
     def from_spec(cls, spec: Optional[BloomSpec]) -> Optional["BloomFilter"]:
-        """Invert :meth:`to_spec`; ``None`` passes through (legacy indexes)."""
+        """Invert :meth:`to_spec`; ``None`` (filters disabled) passes through."""
         if spec is None:
             return None
         try:

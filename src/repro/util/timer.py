@@ -1,64 +1,10 @@
-"""Wallclock timing helpers used by the experiment harness and serving tier."""
+"""The one wallclock timing helper, shared by counting runs and the serving tier."""
 
 from __future__ import annotations
 
 import time
-from types import TracebackType
-from typing import Optional, Type
 
-__all__ = ["Stopwatch", "Timer"]
-
-
-class Timer:
-    """Context manager measuring elapsed wallclock seconds.
-
-    Example
-    -------
-    >>> with Timer() as timer:
-    ...     _ = sum(range(1000))
-    >>> timer.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._start: Optional[float] = None
-        self._elapsed: float = 0.0
-
-    def __enter__(self) -> "Timer":
-        self.start()
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        traceback: Optional[TracebackType],
-    ) -> None:
-        self.stop()
-
-    def start(self) -> None:
-        """Start (or restart) the timer."""
-        self._start = time.perf_counter()
-
-    def stop(self) -> float:
-        """Stop the timer and return the elapsed seconds."""
-        if self._start is None:
-            raise RuntimeError("Timer.stop() called before start()")
-        self._elapsed = time.perf_counter() - self._start
-        self._start = None
-        return self._elapsed
-
-    @property
-    def running(self) -> bool:
-        """Whether the timer is currently running."""
-        return self._start is not None
-
-    @property
-    def elapsed(self) -> float:
-        """Elapsed seconds of the last completed measurement."""
-        if self._start is not None:
-            return time.perf_counter() - self._start
-        return self._elapsed
+__all__ = ["Stopwatch"]
 
 
 class Stopwatch:

@@ -664,39 +664,24 @@ class TestTopKBlockSkipping:
             stats = store.cache_stats()
             assert stats.misses == 1
 
-    def test_old_format_index_without_summaries_still_served(self, tmp_path, monkeypatch):
-        """Tables written before max_value existed read fine, just unskipped."""
-        import repro.ngramstore.format as format_module
-        import repro.ngramstore.table as table_module
+    def test_unsummarised_blocks_are_never_skipped(self, tmp_path):
+        """max_value=None (values that are not plain int/float, here bools)
+        means every block is scanned, and frequency top-k still matches a
+        full sort."""
+        from repro.ngramstore import TopKAccumulator
 
-        real_write_index = format_module.write_index
-
-        def legacy_write_index(handle, index):
-            # Plain 5-tuples, exactly what a pre-summary writer pickled —
-            # the read path must fill max_value from the NamedTuple default.
-            legacy = [tuple(entry)[:5] for entry in index]
-            return real_write_index(handle, legacy)
-
-        # TableWriter resolves write_index from its own module namespace.
-        monkeypatch.setattr(table_module, "write_index", legacy_write_index)
-        records = skewed_records(count=512)
-        path = str(tmp_path / "legacy.ngt")
+        records = [(key, value % 3 == 0) for key, value in skewed_records(count=512)]
+        path = str(tmp_path / "bools.ngt")
         with TableWriter(path, records_per_block=32) as writer:
             writer.extend(records)
-        monkeypatch.undo()
-
         with Table(path) as table:
             assert all(entry.max_value is None for entry in table._index)
-            assert list(table) == records
-            for key, value in records[::41]:
-                assert table.get(key) == value
             expected = sorted(records, key=lambda record: (-record[1], record[0]))[:7]
             assert table.top_k(7) == expected
-            from repro.ngramstore import TopKAccumulator
-
             accumulator = TopKAccumulator(7)
             table.top_k_into(accumulator)
-            assert accumulator.blocks_skipped == 0  # no summaries -> no skipping
+            assert accumulator.blocks_skipped == 0
+            assert accumulator.blocks_scanned == table.num_blocks
 
     def test_accumulator_tie_break_matches_nsmallest(self):
         from repro.ngramstore import TopKAccumulator
@@ -786,42 +771,6 @@ class TestBloomFilteredReads:
     def test_writer_rejects_negative_budget(self, tmp_path):
         with pytest.raises(StoreError, match="bloom_bits_per_key"):
             TableWriter(str(tmp_path / "t.ngt"), bloom_bits_per_key=-1)
-
-    def test_legacy_index_without_blooms_still_served(self, tmp_path, monkeypatch, records):
-        """Tables written before blooms existed read byte-identically."""
-        import repro.ngramstore.format as format_module
-        import repro.ngramstore.table as table_module
-
-        real_write_index = format_module.write_index
-
-        def legacy_write_index(handle, index):
-            # Plain 6-tuples, exactly what a pre-bloom writer pickled — the
-            # read path must fill bloom from the NamedTuple default.
-            legacy = [tuple(entry)[:6] for entry in index]
-            return real_write_index(handle, legacy)
-
-        monkeypatch.setattr(table_module, "write_index", legacy_write_index)
-        legacy_path = str(tmp_path / "legacy.ngt")
-        with TableWriter(legacy_path, records_per_block=32) as writer:
-            writer.extend(records)
-        monkeypatch.undo()
-        modern_path = str(tmp_path / "modern.ngt")
-        with TableWriter(modern_path, records_per_block=32) as writer:
-            writer.extend(records)
-
-        with Table(legacy_path) as legacy, Table(modern_path) as modern:
-            assert all(entry.bloom is None for entry in legacy._index)
-            # max_value summaries (the older index addition) still present.
-            assert [e.max_value for e in legacy._index] == [
-                e.max_value for e in modern._index
-            ]
-            assert list(legacy) == list(modern) == records
-            probes = [key for key, _ in records[::13]] + [(999, 999), (0,)]
-            assert [legacy.get(key) for key in probes] == [
-                modern.get(key) for key in probes
-            ]
-            assert legacy.top_k(9) == modern.top_k(9)
-            assert legacy.bloom_rejections == 0  # nothing to filter with
 
 
 class TestMmapReads:
@@ -954,25 +903,21 @@ class TestBlockChecksums:
                     assert store.get(key) == value
                     break
 
-    def test_legacy_index_without_checksums_still_served(
-        self, tmp_path, monkeypatch, records
-    ):
-        """Pre-checksum tables (7-tuple index entries) load and read fine."""
+    @pytest.mark.parametrize("fields", [5, 6, 7])
+    def test_index_without_checksums_refused(self, tmp_path, monkeypatch, records, fields):
+        """Index entries from before summaries, blooms or checksums (5-, 6-
+        and 7-field tuples) are refused on open with a rebuild hint."""
         import repro.ngramstore.format as format_module
         import repro.ngramstore.table as table_module
 
         real_write_index = format_module.write_index
 
-        def legacy_write_index(handle, index):
-            legacy = [tuple(entry)[:7] for entry in index]
-            return real_write_index(handle, legacy)
+        def short_write_index(handle, index):
+            return real_write_index(handle, [tuple(entry)[:fields] for entry in index])
 
-        monkeypatch.setattr(table_module, "write_index", legacy_write_index)
+        monkeypatch.setattr(table_module, "write_index", short_write_index)
         path = self.write_table(tmp_path, records)
         monkeypatch.undo()
-        with Table(path) as table:
-            assert all(entry.checksum is None for entry in table._index)
-            assert list(table) == records
-            for key, value in records[::43]:
-                assert table.get(key) == value
-            assert table.blocks_checksum_failed == 0
+        with pytest.raises(StoreError, match=f"{fields}-field.*rebuild the store") as raised:
+            Table(path)
+        assert "table.ngt" in str(raised.value)

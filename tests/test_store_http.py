@@ -238,6 +238,18 @@ class TestHttpStoreClient:
             assert client.ping()
             assert client.connections_opened == 1
 
+    def test_keep_alive_connection_counted_once(self, store_dir, expected):
+        """connections_accepted counts connections, not the requests on them."""
+        with NGramStoreHTTPServer(store_dir, config=ServerConfig(port=0)) as server:
+            with HttpStoreClient(f"http://{server.host}:{server.port}") as client:
+                for key in sorted(expected)[:5]:
+                    assert client.get(key) == expected[key]
+                stats = client.server_stats()
+            assert client.connections_opened == 1
+        assert stats["requests"] == 5
+        assert stats["connections_accepted"] == 1
+        assert stats["active_connections"] == 1
+
     def test_stale_pooled_connection_retried_without_burning_budget(
         self, base_url, expected
     ):
@@ -330,6 +342,10 @@ class TestServeHTTPCLI:
         assert "protocol=http" in stdout
         metrics = json.loads(metrics_file.read_text())
         assert metrics["operations"]["get"]["count"] >= 1
+        # The server_stats shape, connection fields included: urllib opens
+        # one connection per request here.
+        assert metrics["connections_accepted"] == 2
+        assert "active_connections" in metrics
 
 
 class TestHttpObservability:

@@ -65,17 +65,22 @@ def expected():
     return dict(make_records())
 
 
+SERVERS = {"socket": NGramStoreServer, "http": NGramStoreHTTPServer}
+
+
+def connect(server):
+    """A fresh client speaking ``server``'s own transport."""
+    if server.protocol == "http":
+        return HttpStoreClient(f"http://{server.host}:{server.port}")
+    return StoreClient(server.host, server.port)
+
+
 @contextmanager
 def serving(store_dir, transport, config):
     """A client of a fresh socket or HTTP server over ``store_dir``."""
-    if transport == "http":
-        with NGramStoreHTTPServer(store_dir, config=config) as running:
-            with HttpStoreClient(f"http://{running.host}:{running.port}") as client:
-                yield client
-    else:
-        with NGramStoreServer(store_dir, config=config) as running:
-            with StoreClient(running.host, running.port) as client:
-                yield client
+    with SERVERS[transport](store_dir, config=config) as running:
+        with connect(running) as client:
+            yield client
 
 
 class TestProtocol:
@@ -244,35 +249,50 @@ class TestConcurrency:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 assert all(pool.map(hammer, range(12)))
 
-    def test_max_clients_backpressure(self, store_dir, expected):
-        """More concurrent clients than handler slots: all still served."""
-        with NGramStoreServer(
-            store_dir, config=ServerConfig(port=0, cache_blocks=8, max_clients=2)
-        ) as server:
+    @pytest.mark.parametrize("transport", ["socket", "http"])
+    def test_max_clients_backpressure(self, store_dir, expected, transport):
+        """More concurrent clients than handler slots: all still served,
+        never more than ``max_clients`` connections at once, and each
+        connection counted once however many requests it carries."""
+        config = ServerConfig(port=0, cache_blocks=8, max_clients=2)
+        with SERVERS[transport](store_dir, config=config) as server:
             sample = sorted(expected)[::37]
+            spans = []
 
             def query(seed):
-                with StoreClient(server.host, server.port) as client:
-                    time.sleep(0.01)
-                    return [client.get(key) for key in sample]
+                with connect(server) as client:
+                    values = [client.get(sample[0])]
+                    served_from = time.monotonic()  # first answer on this connection
+                    values += [client.get(key) for key in sample[1:]]
+                    time.sleep(0.05)  # hold the connection, and its slot, open
+                    spans.append((served_from, time.monotonic()))
+                return values
 
             reference = [expected[key] for key in sample]
             with ThreadPoolExecutor(max_workers=6) as pool:
                 results = list(pool.map(query, range(6)))
             assert all(result == reference for result in results)
+            served_at_once = max(
+                sum(1 for begin, end in spans if begin <= moment < end)
+                for moment, _ in spans
+            )
+            assert served_at_once <= 2
             assert server.metrics.snapshot()["connections_accepted"] == 6
 
-    def test_graceful_shutdown(self, store_dir):
-        server = NGramStoreServer(store_dir, config=ServerConfig(port=0))
+    @pytest.mark.parametrize("transport", ["socket", "http"])
+    def test_graceful_shutdown(self, store_dir, transport):
+        server = SERVERS[transport](store_dir, config=ServerConfig(port=0))
         host, port = server.start()
-        client = StoreClient(host, port)
+        client = connect(server)
         assert client.ping()
         server.close()
-        # The open connection is dropped; a fresh connect must not reach a
-        # live handler either (loopback self-connect may let the TCP dial
-        # itself succeed, so assert at the protocol level, not connect()).
-        with pytest.raises((StoreError, OSError, ValueError)):
+        # The open connection is severed, not answered by a handler over a
+        # closed store; a fresh connect must not reach a live handler either
+        # (loopback self-connect may let the TCP dial itself succeed, so
+        # assert at the protocol level, not connect()).
+        with pytest.raises((StoreError, OSError, ValueError)) as raised:
             client.ping()
+        assert "is closed" not in str(raised.value)
         client.close()
         with pytest.raises((StoreError, OSError, ValueError)):
             with StoreClient(
@@ -429,6 +449,8 @@ class TestServeCLI:
         metrics = json.load(open(metrics_path, encoding="utf-8"))
         assert metrics["operations"]["top_k"]["count"] == 1
         assert metrics["cache"]["misses"] > 0
+        assert metrics["connections_accepted"] == 1
+        assert "active_connections" in metrics
 
     def test_serve_missing_store_exits_2(self, tmp_path, capsys):
         assert main(["serve", str(tmp_path / "nope")]) == 2
@@ -699,8 +721,7 @@ class TestObservability:
         assert "ngramstore_request_seconds_bucket" in text
         assert 'ngramstore_io_events{event="blocks_decoded"}' in text
         assert 'ngramstore_block_cache_events{event="hits"}' in text
-        if transport == "socket":  # HTTP does not track open connections
-            assert "ngramstore_active_connections" in text
+        assert "ngramstore_active_connections 1" in text
 
     @pytest.mark.parametrize("transport", ["socket", "http"])
     def test_slow_log_trace_id_matches_client(self, store_dir, tmp_path, transport):

@@ -1,71 +1,26 @@
-"""Tests for the wallclock timer helper."""
+"""Tests for the wallclock stopwatch."""
 
 import time
 
 import pytest
 
-from repro.util.timer import Timer
-
-
-class TestTimer:
-    def test_context_manager_measures_elapsed(self):
-        with Timer() as timer:
-            time.sleep(0.01)
-        assert timer.elapsed >= 0.005
-
-    def test_stop_without_start_raises(self):
-        timer = Timer()
-        with pytest.raises(RuntimeError):
-            timer.stop()
-
-    def test_running_flag(self):
-        timer = Timer()
-        assert not timer.running
-        timer.start()
-        assert timer.running
-        timer.stop()
-        assert not timer.running
-
-    def test_elapsed_while_running_grows(self):
-        timer = Timer()
-        timer.start()
-        first = timer.elapsed
-        time.sleep(0.005)
-        second = timer.elapsed
-        assert second >= first
-        timer.stop()
-
-    def test_restart_resets_measurement(self):
-        timer = Timer()
-        timer.start()
-        time.sleep(0.01)
-        timer.stop()
-        first = timer.elapsed
-        timer.start()
-        second = timer.stop()
-        assert second <= first
+from repro.util.timer import Stopwatch
 
 
 class TestStopwatch:
     def test_starts_at_construction(self):
-        from repro.util.timer import Stopwatch
-
         watch = Stopwatch()
         time.sleep(0.005)
         assert watch.elapsed() >= 0.004
         assert watch.elapsed_ms() == pytest.approx(watch.elapsed() * 1e3, rel=0.5)
 
     def test_restart_resets_origin(self):
-        from repro.util.timer import Stopwatch
-
         watch = Stopwatch()
         time.sleep(0.005)
         watch.restart()
         assert watch.elapsed() < 0.005
 
     def test_lap_returns_split_and_restarts(self):
-        from repro.util.timer import Stopwatch
-
         watch = Stopwatch()
         time.sleep(0.005)
         first = watch.lap()
